@@ -185,12 +185,20 @@ def match_coarsest(engine: CostEngine, workers: int = 1) -> tuple[np.ndarray, np
     """Full-search disparity and cost maps for one level.
 
     Every pixel is evaluated at every candidate disparity (d_max+1 entries
-    recorded per pixel); ties pick the smallest disparity.
+    recorded per pixel); ties pick the smallest disparity.  The maps are
+    a running argmax over the volume's planes, so no second copy of the
+    volume is made.
     """
     volume = engine.full_volume(workers=workers)
-    disparity = np.argmax(volume, axis=0)
-    cost = np.take_along_axis(volume, disparity[np.newaxis], axis=0)[0]
-    return disparity.astype(np.float64), cost
+    disparity = np.zeros(volume.shape[1:])
+    cost = volume[0].copy()
+    better = np.empty(cost.shape, dtype=bool)
+    for z in range(1, volume.shape[0]):
+        # Strictly greater, in ascending z: a tie keeps the smaller disparity.
+        np.greater(volume[z], cost, out=better)
+        disparity[better] = z
+        cost[better] = volume[z][better]
+    return disparity, cost
 
 
 def refine_level(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,

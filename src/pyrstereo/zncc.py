@@ -16,9 +16,15 @@ image for the requested disparity.
 :class:`CostEngine` evaluates these costs for a whole level.  It keeps a
 running count of every (pixel, disparity) entry it computes in a
 thread-safe :class:`EvalCounter`; the counts are the basis of all
-complexity accounting downstream.  Whole-plane evaluation uses box sums so
-a full search is O(1) per pixel per disparity; sparse per-pixel requests
-use direct block products.
+complexity accounting downstream.  It has three evaluation paths:
+
+- box-sum planes (``plane``, ``full_volume``): every pixel at one
+  disparity, O(1) per pixel per disparity;
+- row-shared full vectors (``dsi_rows``): a sparse pixel set at every
+  disparity; each distinct block row is correlated once across all
+  disparities and shared by the vertically adjacent pixels that need it;
+- gathered triples (``at``): arbitrary (pixel, disparity) entries, each a
+  direct product of its two blocks.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ SIGN_MIDDLEBURY = "middlebury"
 # Literal (i, j + z) form, selectable for pairs rectified the other way.
 SIGN_PAPER_PLUS = "paper"
 
-_GATHER_CHUNK = 32768
+_GATHER_CHUNK = 4096
 
 # Eight-connected neighborhood plus the center, used for cost averaging.
 NEIGHBORHOOD_3X3 = tuple(
@@ -145,8 +151,10 @@ class CostEngine:
     """Disparity-cost evaluator for one pyramid level.
 
     Block means and deviations are precomputed once per image with box
-    filters under replicate borders, so every evaluation path shares the
-    same statistics and degeneracy decisions.
+    filters under replicate borders, so the three evaluation paths (box-sum
+    planes, row-shared full vectors and gathered triples) share the same
+    statistics and degeneracy decisions; they differ only in the order in
+    which the cross sums are added.
     """
 
     def __init__(self, left: np.ndarray, right: np.ndarray, block: int, d_max: int,
@@ -181,6 +189,22 @@ class CostEngine:
         self.mean_r, self.sigma_r = self._stats(right)
         self._ok_l = self.sigma_l >= self.sigma_eps
         self._ok_r = self.sigma_r >= self.sigma_eps
+
+        # Full vectors read the right side along disparity as windows: the
+        # window starting at column j covers right columns j-d_max..j+block-1
+        # of the padded image (j..j+d_max+block-1 for the paper sign).  The
+        # right arrays gain d_max zero columns on both sides so every window
+        # stays in bounds; the added columns are degenerate, which applies
+        # the out-of-range rule.
+        d = self.d_max
+        side = ((0, 0), (d, d))
+        self._lrows = sliding_window_view(self._lp, block, axis=1)
+        self._rsegs = sliding_window_view(np.pad(self._rp, side), d + block, axis=1)
+        self._mean_rz, self._sigma_rz, self._ok_rz = (
+            sliding_window_view(np.pad(a, side), d + 1, axis=1)
+            for a in (self.mean_r, self.sigma_r, self._ok_r)
+        )
+        self._zstart = 0 if sign == SIGN_MIDDLEBURY else d
 
     def _stats(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = uniform_filter(img, size=self.block, mode="nearest")
@@ -287,19 +311,66 @@ class CostEngine:
         return np.where(ok, np.clip(cov / denom, -1.0, 1.0), -1.0)
 
     def dsi_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Full cost vectors for a sparse pixel set, shape (S, d_max+1)."""
+        """Full cost vectors for a sparse pixel set, shape (S, d_max+1).
+
+        Block row p of pixel (i, j) is padded row i+p at column j, so
+        vertically adjacent pixels share block-1 of their block rows.  Pixels
+        are taken in row-major order a chunk at a time; each distinct block
+        row of a chunk is correlated once at every disparity, and a pixel's
+        cross sums add its block rows in order.  Each entry is computed by
+        the same operations whatever else is requested with it.
+        """
         rows = np.asarray(rows, dtype=np.intp).ravel()
         cols = np.asarray(cols, dtype=np.intp).ravel()
         if rows.shape != cols.shape:
             raise ValueError("rows and cols must have identical shapes")
         out = np.empty((rows.shape[0], self.d_max + 1))
-        for start in range(0, rows.shape[0], _GATHER_CHUNK):
-            sl = slice(start, start + _GATHER_CHUNK)
-            r, c = rows[sl], cols[sl]
-            for z in range(self.d_max + 1):
-                out[sl, z] = self._gather(r, c, np.full(r.shape, z, dtype=np.intp))
+        order = np.lexsort((cols, rows))
+        for start in range(0, order.shape[0], _GATHER_CHUNK):
+            sel = order[start:start + _GATHER_CHUNK]
+            out[sel] = self._shared_rows(rows[sel], cols[sel])
         self.counter.add(rows.shape[0] * (self.d_max + 1))
         return out
+
+    def _shared_rows(self, rows, cols):
+        b = self.block
+        width = self._lp.shape[1]
+        keys = (rows[:, np.newaxis] + np.arange(b)) * width + cols[:, np.newaxis]
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        corr = self._block_row_corr(*np.divmod(uniq, width))
+        inverse = inverse.reshape(keys.shape)
+        cross = corr[inverse[:, 0]]
+        for p in range(1, b):
+            cross += corr[inverse[:, p]]
+        del corr  # before the statistics' temporaries
+
+        # The masking and the arithmetic of _gather, in place on cross.
+        at = (rows, cols + self._zstart)
+        ok = self._ok_l[rows, cols][:, np.newaxis] & self._ok_rz[at]
+        cross /= self.area
+        cross -= self.mean_l[rows, cols][:, np.newaxis] * self._mean_rz[at]
+        cross /= np.where(ok, self.sigma_l[rows, cols][:, np.newaxis] * self._sigma_rz[at], 1.0)
+        np.clip(cross, -1.0, 1.0, out=cross)
+        cross[~ok] = -1.0
+        return cross[:, ::-1] if self.sign == SIGN_MIDDLEBURY else cross
+
+    def _block_row_corr(self, r, c):
+        """1-D correlations of padded rows r at columns c, shape (U, d_max+1).
+
+        Index k is disparity d_max-k under the Middlebury sign and disparity
+        k under the paper sign.  The products run over (disparity, row)
+        planes so each one is a single contiguous pass.
+        """
+        nz = self.d_max + 1
+        lrow = np.ascontiguousarray(self._lrows[r, c].T)
+        seg = np.ascontiguousarray(self._rsegs[r, c + self._zstart].T)
+        corr = np.zeros((nz, r.shape[0]))
+        term = np.empty_like(corr)
+        for q in range(self.block):
+            np.multiply(seg[q:q + nz], lrow[q], out=term)
+            corr += term
+        del seg, term
+        return np.ascontiguousarray(corr.T)
 
     def dsi_slice(self, i: int, j: int) -> DsiSlice:
         """Cost vector of one pixel across all candidate disparities."""

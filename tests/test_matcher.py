@@ -1,5 +1,7 @@
 """Pipeline stage and end-to-end matcher tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,48 @@ def test_match_coarsest_equals_brute_force():
         np.testing.assert_array_equal(disparity, expected_d)
         np.testing.assert_allclose(cost, expected_c, atol=1e-9)
         assert evals == engine.counter.count
+
+
+def _volume_argmax(volume):
+    disparity = np.argmax(volume, axis=0)
+    cost = np.take_along_axis(volume, disparity[np.newaxis], axis=0)[0]
+    return disparity.astype(np.float64), cost
+
+
+def test_match_coarsest_equals_volume_argmax():
+    rng = np.random.default_rng(3)
+    left, right = rng.random((13, 17)), rng.random((13, 17))
+    expected = _volume_argmax(CostEngine(left, right, block=3, d_max=9).full_volume())
+    got = match_coarsest(CostEngine(left, right, block=3, d_max=9))
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+    # Planted ties: a quantized volume with a constant band ties nearly
+    # every pixel; the smallest tied disparity must win, as in argmax.
+    engine = CostEngine(left, right, block=3, d_max=9)
+    planted = np.round(engine.full_volume() * 2.0) / 2.0
+    planted[:, :, :4] = -1.0
+    engine.full_volume = lambda workers=1: planted
+    got = match_coarsest(engine)
+    expected = _volume_argmax(planted)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+    assert np.all(got[0][:, :4] == 0)
+
+
+def test_match_coarsest_holds_one_volume():
+    rng = np.random.default_rng(4)
+    left, right = rng.random((40, 50)), rng.random((40, 50))
+    engine = CostEngine(left, right, block=3, d_max=60)
+    volume_bytes = 61 * 40 * 50 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        match_coarsest(engine)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * volume_bytes
 
 
 def test_match_coarsest_recovers_constant_shift():

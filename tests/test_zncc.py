@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fsum_zncc, naive_averaged_dsi, naive_dsi_vector
 from pyrstereo import (
@@ -15,6 +17,7 @@ from pyrstereo import (
     shifted_pair,
     zncc,
 )
+from pyrstereo.zncc import _GATHER_CHUNK
 
 
 def _random_images(rng, h=9, w=9):
@@ -144,6 +147,64 @@ def test_plane_and_gather_match_naive_dsi():
         np.testing.assert_allclose(
             rows[idx], naive_dsi_vector(left, right, i, j, 1, 5), atol=1e-9
         )
+
+
+@st.composite
+def _dsi_requests(draw):
+    """A small pair, an engine setting and a request of pixels.
+
+    Shapes go down to one row and widths below d_max; grey levels are
+    quantized so constant (degenerate) blocks occur.  The request lists
+    every pixel, borders included, in a random order, plus repeats.
+    """
+    block = draw(st.sampled_from([3, 5, 11]))
+    height = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 8))
+    d_max = draw(st.integers(0, width + 3))
+    sign = draw(st.sampled_from(["middlebury", "paper"]))
+    levels = draw(st.sampled_from([1, 2, 16, 1 << 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, levels, size=(height, width)) / levels
+    right = rng.integers(0, levels, size=(height, width)) / levels
+    pixels = rng.permutation(height * width)
+    pixels = np.concatenate([pixels, rng.choice(pixels, size=rng.integers(0, 4))])
+    rows, cols = np.divmod(pixels, width)
+    return left, right, block, d_max, sign, rows, cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(_dsi_requests())
+def test_dsi_rows_matches_naive_vectors(request):
+    left, right, block, d_max, sign, rows, cols = request
+    engine = CostEngine(left, right, block=block, d_max=d_max, sign=sign)
+    got = engine.dsi_rows(rows, cols)
+    assert got.shape == (rows.shape[0], d_max + 1)
+    assert engine.counter.count == rows.shape[0] * (d_max + 1)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        expected = naive_dsi_vector(left, right, i, j, block // 2, d_max, sign=sign)
+        np.testing.assert_allclose(got[k], expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("sign", ["middlebury", "paper"])
+def test_dsi_rows_vector_independent_of_request(sign):
+    # More pixels than one chunk of the row-shared kernel holds.
+    rng = np.random.default_rng(19)
+    width = 64
+    height = _GATHER_CHUNK // width + 3
+    left, right = _random_images(rng, height, width)
+    engine = CostEngine(left, right, block=5, d_max=6, sign=sign)
+    pixels = rng.permutation(height * width)
+    rows, cols = np.divmod(pixels, width)
+    whole = engine.dsi_rows(rows, cols)
+    assert engine.counter.count == height * width * 7
+
+    subset = rng.choice(pixels.shape[0], size=300, replace=False)
+    part = engine.dsi_rows(rows[subset], cols[subset])
+    np.testing.assert_array_equal(part, whole[subset])
+    for k in subset[:5]:
+        np.testing.assert_array_equal(engine.dsi_rows(rows[k:k + 1], cols[k:k + 1])[0],
+                                      whole[k])
+    assert engine.counter.count == (height * width + 300 + 5) * 7
 
 
 def test_costs_stay_in_range():
