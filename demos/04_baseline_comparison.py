@@ -1,4 +1,4 @@
-"""Hierarchical matching versus naive full search: accuracy and effort.
+"""Hierarchical matching versus single-level full search: accuracy and effort.
 
 Run as: python demos/04_baseline_comparison.py
 """
@@ -36,7 +36,7 @@ ours_seconds = time.perf_counter() - t0
 ours = evaluate(disparity, gt)
 ours.total_evals = trace.total_evals
 
-# The naive single-level full search (no repairs, exact eval count).
+# The single-level full search (no repairs, exact eval count).
 t0 = time.perf_counter()
 base_d, base_c, base_evals = baseline_bm(left, right, 32, 11)
 base_seconds = time.perf_counter() - t0

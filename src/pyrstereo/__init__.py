@@ -4,9 +4,9 @@ A stereo pair is matched on a Gaussian pyramid: the coarsest level by
 full disparity search, each finer level in a three-candidate window
 around the upsampled coarse result wherever the interpolated cost is
 trustworthy, with confidence-gated neighborhood re-selection and median
-repair at every level.  A naive full-search matcher, Middlebury-style
-codecs and error metrics, and a command-line frontend round out the
-package.
+repair at every level.  A single-level full-search baseline,
+Middlebury-style codecs and error metrics, and a command-line frontend
+round out the package.
 """
 
 from .baseline import baseline_bm

@@ -1,16 +1,19 @@
-"""Naive single-level full-search block matcher.
+"""Single-level full-search block matcher: the reference the hierarchy is
+measured against.
 
-Deliberately written as a plain loop nest with per-block statistics
-computed from scratch, sharing no machinery with the optimized cost
-engine: this is the reference both for output agreement (identical
-selection and tie-breaking rules) and for the evaluation-count comparison
-(it performs exactly width x height x (d_max + 1) evaluations).  No
-repairs are applied to its output.
+Every pixel is scored at every disparity in [0, d_max] by the cost
+engine's box-sum planes (:func:`pyrstereo.matcher.match_coarsest`), so it
+performs exactly width x height x (d_max + 1) evaluations and holds
+O(width x height) memory whatever d_max is.  No repairs are applied to its
+output.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .matcher import match_coarsest
+from .zncc import CostEngine
 
 __all__ = ["baseline_bm"]
 
@@ -20,62 +23,15 @@ def baseline_bm(left: np.ndarray, right: np.ndarray, d_max: int, block: int,
                 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Full-search disparity and cost maps plus the evaluation count.
 
-    Per pixel, every disparity in [0, d_max] is scored with the same ZNCC
-    definition as the optimized engine (replicate-padded blocks, -1 for
-    degenerate blocks or out-of-image right centers, clamped to [-1, 1]),
-    keeping the smallest disparity on ties.
+    Per pixel, every disparity in [0, d_max] is scored with the engine's
+    ZNCC definition (replicate-padded blocks, -1 for degenerate blocks or
+    out-of-image right centers, clamped to [-1, 1]) and the smallest
+    disparity among the largest computed costs wins.  Computed costs agree
+    with direct summation to within roundoff, so disparities that tie
+    exactly, as they often do on quantized images, resolve as
+    :func:`~pyrstereo.matcher.match_coarsest` resolves them: the winner is
+    the one roundoff puts ahead, not necessarily the smaller disparity.
     """
-    left = np.asarray(left, dtype=np.float64)
-    right = np.asarray(right, dtype=np.float64)
-    if left.ndim != 2 or left.shape != right.shape:
-        raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
-    if block < 3 or block % 2 == 0:
-        raise ValueError(f"block must be odd and >= 3, got {block}")
-    if d_max < 0:
-        raise ValueError(f"d_max must be >= 0, got {d_max}")
-    if sign not in ("middlebury", "paper"):
-        raise ValueError(f"unknown sign convention {sign!r}")
-
-    height, width = left.shape
-    half = block // 2
-    area = block * block
-    step = -1 if sign == "middlebury" else 1
-    lpad = np.pad(left, half, mode="edge")
-    rpad = np.pad(right, half, mode="edge")
-
-    disparity = np.zeros((height, width))
-    cost = np.full((height, width), -1.0)
-    evals = 0
-
-    for i in range(height):
-        for j in range(width):
-            lblock = lpad[i : i + block, j : j + block]
-            lmean = lblock.mean()
-            ldev = lblock - lmean
-            lss = float((ldev * ldev).sum())
-            left_ok = np.sqrt(lss / area) >= sigma_eps
-
-            best_cost = -2.0
-            best_z = 0
-            for z in range(d_max + 1):
-                evals += 1
-                col = j + step * z
-                if col < 0 or col > width - 1 or not left_ok:
-                    c = -1.0
-                else:
-                    rblock = rpad[i : i + block, col : col + block]
-                    rmean = rblock.mean()
-                    rdev = rblock - rmean
-                    rss = float((rdev * rdev).sum())
-                    if np.sqrt(rss / area) < sigma_eps:
-                        c = -1.0
-                    else:
-                        c = float((ldev * rdev).sum()) / np.sqrt(lss * rss)
-                        c = min(1.0, max(-1.0, c))
-                if c > best_cost:
-                    best_cost = c
-                    best_z = z
-            disparity[i, j] = best_z
-            cost[i, j] = best_cost
-
-    return disparity, cost, evals
+    engine = CostEngine(left, right, block, d_max, sigma_eps=sigma_eps, sign=sign)
+    disparity, cost = match_coarsest(engine)
+    return disparity, cost, engine.counter.count

@@ -240,6 +240,8 @@ def cmd_eval(args) -> int:
         with open(args.trace, "r", encoding="ascii") as fh:
             trace = json.load(fh)
         report.total_evals = trace.get("total_evals")
+        if "levels" in trace:  # a baseline trace has none
+            report.trust_fractions = tuple(lt["trusted_fraction"] for lt in trace["levels"])
 
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, "report")
@@ -248,23 +250,26 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _bench_scene(scene_dir: str, args, threads: int) -> dict:
-    left_path = None
-    right_path = None
-    for ext in ("pgm", "ppm"):
-        cand_l = os.path.join(scene_dir, f"im0.{ext}")
-        cand_r = os.path.join(scene_dir, f"im1.{ext}")
-        if os.path.exists(cand_l) and os.path.exists(cand_r):
-            left_path, right_path = cand_l, cand_r
-            break
+def _scene_paths(scene_dir: str) -> tuple[str, str, str, str]:
+    """im0, im1, calib and reference paths of one Middlebury-layout scene."""
     calib_path = os.path.join(scene_dir, _SCENE_CALIB)
     gt_path = os.path.join(scene_dir, _SCENE_GT)
-    if left_path is None or not os.path.exists(calib_path) or not os.path.exists(gt_path):
-        raise FileNotFoundError(
-            f"scene {os.path.basename(scene_dir)} lacks im0/im1 (pgm/ppm), "
-            f"{_SCENE_CALIB} or {_SCENE_GT}"
-        )
+    if os.path.exists(calib_path) and os.path.exists(gt_path):
+        for ext in ("pgm", "ppm"):
+            left_path = os.path.join(scene_dir, f"im0.{ext}")
+            right_path = os.path.join(scene_dir, f"im1.{ext}")
+            if os.path.exists(left_path) and os.path.exists(right_path):
+                return left_path, right_path, calib_path, gt_path
+    raise FileNotFoundError(
+        f"scene {os.path.basename(scene_dir)} lacks im0/im1 (pgm/ppm), "
+        f"{_SCENE_CALIB} or {_SCENE_GT}"
+    )
 
+
+def _bench_scene(scene: str, paths: tuple[str, str, str, str], args,
+                 threads: int) -> dict:
+    t0 = time.perf_counter()
+    left_path, right_path, calib_path, gt_path = paths
     calib = read_calib(calib_path)
     left = read_pnm(left_path)
     right = read_pnm(right_path)
@@ -282,8 +287,10 @@ def _bench_scene(scene_dir: str, args, threads: int) -> dict:
     base = evaluate(base_d, gt, scale=args.scale)
     base.total_evals = base_evals
 
+    print(f"bench: scene {scene} done in {time.perf_counter() - t0:.2f}s",
+          file=sys.stderr)
     return {
-        "scene": os.path.basename(scene_dir),
+        "scene": scene,
         "bad_2_ours": ours.bad_2,
         "bad_2_baseline": base.bad_2,
         "avg_err_ours": ours.avg_abs_err,
@@ -304,11 +311,10 @@ def cmd_bench(args) -> int:
     if not scene_dirs:
         raise ConfigError(f"no scene directories under {args.dataset}")
 
-    runnable = []
+    runnable = {}
     for scene_dir in scene_dirs:
         try:
-            _bench_scene_paths_ok(scene_dir)
-            runnable.append(scene_dir)
+            runnable[os.path.basename(scene_dir)] = _scene_paths(scene_dir)
         except FileNotFoundError as exc:
             print(f"warning: skipping {exc}", file=sys.stderr)
     if not runnable:
@@ -317,13 +323,13 @@ def cmd_bench(args) -> int:
     scene_workers = max(1, min(args.threads, len(runnable)))
     inner_threads = max(1, args.threads // scene_workers)
     if scene_workers == 1:
-        rows = [_bench_scene(sd, args, inner_threads) for sd in runnable]
+        rows = [_bench_scene(*item, args, inner_threads) for item in runnable.items()]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=scene_workers) as pool:
-            rows = list(pool.map(lambda sd: _bench_scene(sd, args, inner_threads),
-                                 runnable))
+            rows = list(pool.map(lambda item: _bench_scene(*item, args, inner_threads),
+                                 runnable.items()))
     rows.sort(key=lambda row: row["scene"])
 
     numeric = ["bad_2_ours", "bad_2_baseline", "avg_err_ours", "avg_err_baseline",
@@ -351,23 +357,6 @@ def cmd_bench(args) -> int:
     print(table, end="")
     print(f"total wall time: {time.perf_counter() - t_total:.2f}s", file=sys.stderr)
     return EXIT_OK
-
-
-def _bench_scene_paths_ok(scene_dir: str) -> None:
-    have_pair = any(
-        os.path.exists(os.path.join(scene_dir, f"im0.{ext}"))
-        and os.path.exists(os.path.join(scene_dir, f"im1.{ext}"))
-        for ext in ("pgm", "ppm")
-    )
-    if not (
-        have_pair
-        and os.path.exists(os.path.join(scene_dir, _SCENE_CALIB))
-        and os.path.exists(os.path.join(scene_dir, _SCENE_GT))
-    ):
-        raise FileNotFoundError(
-            f"scene {os.path.basename(scene_dir)} lacks im0/im1 (pgm/ppm), "
-            f"{_SCENE_CALIB} or {_SCENE_GT}"
-        )
 
 
 def _bench_table(rows: list[dict], average: dict) -> str:
@@ -410,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="worker threads, or 'auto' (results are identical)")
     compute.set_defaults(func=cmd_compute)
 
-    baseline = sub.add_parser("baseline", help="naive full-search disparity map")
+    baseline = sub.add_parser("baseline", help="single-level full-search disparity map")
     _add_io_args(baseline)
     baseline.set_defaults(func=cmd_baseline)
 

@@ -185,19 +185,19 @@ def match_coarsest(engine: CostEngine, workers: int = 1) -> tuple[np.ndarray, np
     """Full-search disparity and cost maps for one level.
 
     Every pixel is evaluated at every candidate disparity (d_max+1 entries
-    recorded per pixel); ties pick the smallest disparity.  The maps are
-    a running argmax over the volume's planes, so no second copy of the
-    volume is made.
+    recorded per pixel); ties pick the smallest disparity.  The maps are a
+    running argmax over the engine's planes, taken as each plane is
+    computed, so no volume is built and memory stays O(H*W) for any d_max.
     """
-    volume = engine.full_volume(workers=workers)
-    disparity = np.zeros(volume.shape[1:])
-    cost = volume[0].copy()
+    planes = engine._planes(workers)
+    cost = next(planes).copy()
+    disparity = np.zeros(cost.shape)
     better = np.empty(cost.shape, dtype=bool)
-    for z in range(1, volume.shape[0]):
+    for z, plane in enumerate(planes, start=1):
         # Strictly greater, in ascending z: a tie keeps the smaller disparity.
-        np.greater(volume[z], cost, out=better)
-        disparity[better] = z
-        cost[better] = volume[z][better]
+        np.greater(plane, cost, out=better)
+        np.copyto(disparity, z, where=better)
+        np.copyto(cost, plane, where=better)
     return disparity, cost
 
 

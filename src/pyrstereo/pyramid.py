@@ -123,7 +123,10 @@ def build_pyramid(left: np.ndarray, right: np.ndarray, d_max: int,
     """
     left = np.asarray(left, dtype=np.float64)
     right = np.asarray(right, dtype=np.float64)
-    if left.ndim != 2 or left.shape != right.shape:
+    for img in (left, right):
+        if img.ndim != 2:
+            raise ValueError(f"expected 2-D grayscale arrays, got shape {img.shape}")
+    if left.shape != right.shape:
         raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")

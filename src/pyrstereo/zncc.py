@@ -19,7 +19,8 @@ thread-safe :class:`EvalCounter`; the counts are the basis of all
 complexity accounting downstream.  It has three evaluation paths:
 
 - box-sum planes (``plane``, ``full_volume``): every pixel at one
-  disparity, O(1) per pixel per disparity;
+  disparity, O(1) per pixel per disparity; a full search can take them
+  one at a time and hold O(H*W) memory instead of the whole volume;
 - row-shared full vectors (``dsi_rows``): a sparse pixel set at every
   disparity; each distinct block row is correlated once across all
   disparities and shared by the vertically adjacent pixels that need it;
@@ -162,7 +163,10 @@ class CostEngine:
                  counter: EvalCounter | None = None) -> None:
         left = np.ascontiguousarray(left, dtype=np.float64)
         right = np.ascontiguousarray(right, dtype=np.float64)
-        if left.ndim != 2 or left.shape != right.shape:
+        for img in (left, right):
+            if img.ndim != 2:
+                raise ValueError(f"expected 2-D grayscale arrays, got shape {img.shape}")
+        if left.shape != right.shape:
             raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
         if block < 3 or block % 2 == 0:
             raise ValueError(f"block must be odd and >= 3, got {block}")
@@ -254,22 +258,29 @@ class CostEngine:
         self.counter.add(h * w)
         return cost
 
-    def full_volume(self, workers: int = 1) -> np.ndarray:
-        """All planes stacked as (d_max+1, H, W).
+    def _planes(self, workers: int = 1):
+        """Yield plane(0), plane(1), ..., plane(d_max) in order.
 
-        Planes are independent, so the result is bit-identical for any
+        With ``workers > 1`` the planes are computed ``workers`` at a time
+        on a thread pool, so at most that many are held before they are
+        yielded.  Planes are independent, so they are bit-identical for any
         worker count.
         """
-        volume = np.empty((self.d_max + 1, self.height, self.width))
+        zs = range(self.d_max + 1)
         if workers <= 1:
-            for z in range(self.d_max + 1):
-                volume[z] = self.plane(z)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
+            yield from map(self.plane, zs)
+            return
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for z, cost in enumerate(pool.map(self.plane, range(self.d_max + 1))):
-                    volume[z] = cost
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for start in range(0, len(zs), workers):
+                yield from pool.map(self.plane, zs[start:start + workers])
+
+    def full_volume(self, workers: int = 1) -> np.ndarray:
+        """All planes stacked as (d_max+1, H, W)."""
+        volume = np.empty((self.d_max + 1, self.height, self.width))
+        for z, cost in enumerate(self._planes(workers)):
+            volume[z] = cost
         return volume
 
     def at(self, rows: np.ndarray, cols: np.ndarray, z: np.ndarray) -> np.ndarray:

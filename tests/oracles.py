@@ -92,6 +92,74 @@ def naive_full_search(left, right, d_max, block, sigma_eps=1e-6, sign="middlebur
     return disparity, cost
 
 
+def loop_full_search(left: np.ndarray, right: np.ndarray, d_max: int, block: int,
+                      sigma_eps: float = 1e-6, sign: str = "middlebury",
+                      ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Loop-nest full search: disparity and cost maps plus the eval count.
+
+    Block statistics are computed from scratch per block, sharing no
+    machinery with the cost engine.  Per pixel, every disparity in
+    [0, d_max] is scored with the same ZNCC definition as the engine
+    (replicate-padded blocks, -1 for degenerate blocks or out-of-image
+    right centers, clamped to [-1, 1]), keeping the smallest disparity on
+    ties.  Counts exactly width x height x (d_max + 1) evaluations.
+    """
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
+    if left.ndim != 2 or left.shape != right.shape:
+        raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
+    if block < 3 or block % 2 == 0:
+        raise ValueError(f"block must be odd and >= 3, got {block}")
+    if d_max < 0:
+        raise ValueError(f"d_max must be >= 0, got {d_max}")
+    if sign not in ("middlebury", "paper"):
+        raise ValueError(f"unknown sign convention {sign!r}")
+
+    height, width = left.shape
+    half = block // 2
+    area = block * block
+    step = -1 if sign == "middlebury" else 1
+    lpad = np.pad(left, half, mode="edge")
+    rpad = np.pad(right, half, mode="edge")
+
+    disparity = np.zeros((height, width))
+    cost = np.full((height, width), -1.0)
+    evals = 0
+
+    for i in range(height):
+        for j in range(width):
+            lblock = lpad[i : i + block, j : j + block]
+            lmean = lblock.mean()
+            ldev = lblock - lmean
+            lss = float((ldev * ldev).sum())
+            left_ok = np.sqrt(lss / area) >= sigma_eps
+
+            best_cost = -2.0
+            best_z = 0
+            for z in range(d_max + 1):
+                evals += 1
+                col = j + step * z
+                if col < 0 or col > width - 1 or not left_ok:
+                    c = -1.0
+                else:
+                    rblock = rpad[i : i + block, col : col + block]
+                    rmean = rblock.mean()
+                    rdev = rblock - rmean
+                    rss = float((rdev * rdev).sum())
+                    if np.sqrt(rss / area) < sigma_eps:
+                        c = -1.0
+                    else:
+                        c = float((ldev * rdev).sum()) / np.sqrt(lss * rss)
+                        c = min(1.0, max(-1.0, c))
+                if c > best_cost:
+                    best_cost = c
+                    best_z = z
+            disparity[i, j] = best_z
+            cost[i, j] = best_cost
+
+    return disparity, cost, evals
+
+
 def naive_downsample(img):
     """Dense 5x5 binomial convolution (replicate borders), even decimation."""
     h, w = img.shape

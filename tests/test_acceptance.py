@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import naive_full_search, naive_selective_median
+from oracles import loop_full_search, naive_full_search, naive_selective_median
 from pyrstereo import (
     CostEngine,
     MatchConfig,
@@ -82,13 +82,13 @@ def test_criterion_1_coarse_oracle_equivalence():
         left, right = rng.random((h, w)), rng.random((h, w))
         engine = CostEngine(left, right, block=block, d_max=d_max)
         disparity, cost = match_coarsest(engine)
-        oracle_d, oracle_c, evals = baseline_bm(left, right, d_max, block)
+        oracle_d, oracle_c, evals = loop_full_search(left, right, d_max, block)
         np.testing.assert_array_equal(disparity, oracle_d)
         np.testing.assert_allclose(cost, oracle_c, atol=1e-9)
         assert evals == engine.counter.count == h * w * (d_max + 1)
         if pairs < 5:
-            # Cross-check the in-package oracle against the plain
-            # quadruple-loop one kept in the test tree.
+            # Cross-check the loop-nest oracle against the fsum
+            # quadruple-loop one.
             quad_d, _ = naive_full_search(left, right, d_max, block)
             np.testing.assert_array_equal(oracle_d, quad_d)
         pairs += 1

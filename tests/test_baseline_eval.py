@@ -1,9 +1,11 @@
-"""Naive baseline matcher and evaluation metric tests."""
+"""Full-search baseline matcher and evaluation metric tests."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_metrics
+from oracles import loop_full_search, naive_dsi_vector, naive_metrics
 from pyrstereo import (
     GroundTruthDisparity,
     MatchConfig,
@@ -55,6 +57,53 @@ def test_baseline_validation():
         baseline_bm(img, np.zeros((6, 7)), 4, 3)
     with pytest.raises(ValueError):
         baseline_bm(img, img, 4, 4)
+
+
+@st.composite
+def _full_search_cases(draw):
+    """A small pair and a full-search setting.
+
+    Images are continuous or take 2-4 grey levels, where exact cost ties
+    are common; shapes go down to one row and d_max past the width.
+    """
+    block = draw(st.sampled_from([3, 5]))
+    height = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 10))
+    d_max = draw(st.integers(0, width + 2))
+    sign = draw(st.sampled_from(["middlebury", "paper"]))
+    levels = draw(st.sampled_from([0, 2, 3, 4]))  # 0: continuous
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if levels:
+        left, right = rng.integers(0, levels, size=(2, height, width)) / (levels - 1)
+    else:
+        left, right = rng.random((2, height, width))
+    return left, right, block, d_max, sign
+
+
+_STRIPES = np.array([[0.0, 1.0, 0.0, 1.0, 1.0, 0.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_full_search_cases())
+@example((_STRIPES, _STRIPES[:, ::-1], 3, 0, "middlebury"))
+@example((_STRIPES, _STRIPES[:, ::-1], 3, 8, "paper"))
+def test_baseline_matches_loop_oracle(case):
+    """Counts are exact and costs agree within 1e-9.  The disparity is the
+    loop nest's wherever the best cost leads the runner-up by more than
+    1e-9; within that margin any disparity at the best cost is accepted."""
+    left, right, block, d_max, sign = case
+    disparity, cost, evals = baseline_bm(left, right, d_max, block, sign=sign)
+    oracle_d, oracle_c, oracle_evals = loop_full_search(left, right, d_max, block,
+                                                        sign=sign)
+    assert evals == oracle_evals == left.size * (d_max + 1)
+    np.testing.assert_allclose(cost, oracle_c, rtol=0, atol=1e-9)
+    for i, j in np.ndindex(left.shape):
+        vector = naive_dsi_vector(left, right, i, j, block // 2, d_max, sign=sign)
+        top2 = np.sort(vector)[-2:]
+        if vector.size == 1 or top2[1] - top2[0] > 1e-9:
+            assert disparity[i, j] == oracle_d[i, j]
+        else:
+            assert vector[int(disparity[i, j])] >= top2[1] - 1e-9
 
 
 def test_evaluate_exact_match():

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import loop_full_search
 from pyrstereo import (
     CostEngine,
-    baseline_bm,
     match_coarsest,
     read_pfm,
     refine_level,
@@ -91,7 +91,7 @@ def test_compute_levels_zero_equals_baseline_plus_repairs(pair, tmp_path):
 
     left = read_pnm(left_path)
     right = read_pnm(right_path)
-    base_d, base_c, _ = baseline_bm(left, right, 6, 5)
+    base_d, base_c, _ = loop_full_search(left, right, 6, 5)
     engine = CostEngine(left, right, block=5, d_max=6)
     full_d, full_c = match_coarsest(engine)
     np.testing.assert_array_equal(base_d, full_d)
@@ -155,7 +155,24 @@ def test_eval_self_is_zero(pair, tmp_path, capsys):
     assert report["metrics"]["bad_2"] == 0.0
     assert report["metrics"]["avg_abs_err"] == 0.0
     assert report["trace"]["total_evals"] == report["metrics"]["total_evals"]
+    assert report["metrics"]["trust_fractions"] == [
+        level["trusted_fraction"] for level in report["trace"]["levels"]
+    ]
+    assert len(report["metrics"]["trust_fractions"]) == 2
     assert "bad_2=0.000000" in capsys.readouterr().out
+
+
+def test_eval_baseline_trace_has_no_trust_fractions(pair, tmp_path):
+    left, right = pair
+    out = tmp_path / "base"
+    main(["baseline", str(left), str(right), "--dmax", "5", "--block", "5",
+          "--out", str(out)])
+    ev = tmp_path / "ev"
+    rc = main(["eval", str(out / "disparity.pfm"), str(out / "disparity.pfm"),
+               "--trace", str(out / "trace.json"), "--out", str(ev)])
+    assert rc == 0
+    metrics = json.loads((ev / "report.json").read_text())["metrics"]
+    assert "trust_fractions" not in metrics
 
 
 def test_eval_scale_quarter_resolution(tmp_path):
@@ -230,6 +247,8 @@ def test_bench_two_scenes(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert "skipping" in captured.err
+    assert "bench: scene alpha done" in captured.err
+    assert "bench: scene beta done" in captured.err
     report = json.loads((out1 / "bench.json").read_text())
     assert [row["scene"] for row in report["scenes"]] == ["alpha", "beta"]
     for key in ("bad_2_ours", "avg_err_ours", "eval_ratio"):

@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import naive_nn_double, naive_selective_median
+from oracles import loop_full_search, naive_nn_double, naive_selective_median
 from pyrstereo import (
     ConfigError,
     CostEngine,
     MatchConfig,
-    baseline_bm,
     build_pyramid,
     interior_mask,
     match_coarsest,
@@ -60,7 +59,7 @@ def test_match_coarsest_equals_brute_force():
         left, right = rng.random((14, 14)), rng.random((14, 14))
         engine = CostEngine(left, right, block=5, d_max=6)
         disparity, cost = match_coarsest(engine)
-        expected_d, expected_c, evals = baseline_bm(left, right, 6, 5)
+        expected_d, expected_c, evals = loop_full_search(left, right, 6, 5)
         np.testing.assert_array_equal(disparity, expected_d)
         np.testing.assert_allclose(cost, expected_c, atol=1e-9)
         assert evals == engine.counter.count
@@ -85,7 +84,7 @@ def test_match_coarsest_equals_volume_argmax():
     engine = CostEngine(left, right, block=3, d_max=9)
     planted = np.round(engine.full_volume() * 2.0) / 2.0
     planted[:, :, :4] = -1.0
-    engine.full_volume = lambda workers=1: planted
+    engine.plane = lambda z: planted[z]
     got = match_coarsest(engine)
     expected = _volume_argmax(planted)
     for a, b in zip(got, expected):
@@ -93,11 +92,12 @@ def test_match_coarsest_equals_volume_argmax():
     assert np.all(got[0][:, :4] == 0)
 
 
-def test_match_coarsest_holds_one_volume():
+def test_match_coarsest_peak_is_planes_not_volume():
+    """The full search holds a fixed number of H x W planes, whatever d_max."""
     rng = np.random.default_rng(4)
     left, right = rng.random((40, 50)), rng.random((40, 50))
     engine = CostEngine(left, right, block=3, d_max=60)
-    volume_bytes = 61 * 40 * 50 * 8
+    plane_bytes = 40 * 50 * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -105,7 +105,8 @@ def test_match_coarsest_holds_one_volume():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * volume_bytes
+    # A plane's temporaries take about 12 planes; the d_max=60 volume, 61.
+    assert peak < 16 * plane_bytes
 
 
 def test_match_coarsest_recovers_constant_shift():

@@ -91,6 +91,9 @@ def test_build_pyramid_validates_inputs():
         build_pyramid(np.zeros((8, 8)), np.zeros((8, 8)), d_max=0)
     with pytest.raises(ValueError):
         build_pyramid(np.zeros((8, 8)), np.zeros((8, 8)), d_max=4, base_block=4)
+    for shape in [(8, 8, 3), (8,)]:
+        with pytest.raises(ValueError, match="expected 2-D grayscale arrays"):
+            build_pyramid(np.zeros(shape), np.zeros(shape), d_max=4)
 
 
 def test_auto_levels_examples():

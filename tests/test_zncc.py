@@ -314,3 +314,6 @@ def test_engine_validation():
         CostEngine(img, img, block=4, d_max=4)
     with pytest.raises(ValueError):
         CostEngine(img, img, block=3, d_max=4, sign="sideways")
+    for shape in [(6, 6, 3), (6,)]:
+        with pytest.raises(ValueError, match="expected 2-D grayscale arrays"):
+            CostEngine(np.zeros(shape), np.zeros(shape), block=3, d_max=4)
