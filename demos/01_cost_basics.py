@@ -5,7 +5,7 @@ Run as: python demos/01_cost_basics.py
 
 import numpy as np
 
-from pyrstereo import CostEngine, averaged_dsi, dsi_entry, shifted_pair, zncc
+from pyrstereo import CostEngine, dsi_entry, shifted_pair, zncc
 
 rng = np.random.default_rng(7)
 
@@ -45,8 +45,3 @@ for z, value in enumerate(vector):
 before = engine.counter.count
 dsi_entry(engine, 16, 24, 4)
 print("\nevaluations so far:", engine.counter.count, f"(+{engine.counter.count - before} for the single entry)")
-
-# Summing the cost vectors over a pixel's 3x3 neighborhood keeps the peak
-# where nearby searches agree; that consensus repairs unreliable pixels.
-summed = averaged_dsi(engine, 16, 24)
-print("neighborhood-summed argmax:", int(np.argmax(summed.costs)))

@@ -31,7 +31,6 @@ from .matcher import (
     MatchConfig,
     PipelineTrace,
     match_coarsest,
-    match_level_with_prior,
     refine_level,
     run_pipeline,
     select_with_prior,
@@ -53,7 +52,6 @@ from .zncc import (
     DsiSlice,
     EvalCounter,
     PatchStats,
-    averaged_dsi,
     dsi_entry,
     patch_stats,
     zncc,
@@ -83,7 +81,6 @@ __all__ = [
     "TruncatedPayloadError",
     "UnsupportedMaxvalError",
     "auto_levels",
-    "averaged_dsi",
     "baseline_bm",
     "build_pyramid",
     "compare",
@@ -94,7 +91,6 @@ __all__ = [
     "level_block",
     "level_d_max",
     "match_coarsest",
-    "match_level_with_prior",
     "patch_stats",
     "read_calib",
     "read_pfm",

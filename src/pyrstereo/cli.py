@@ -134,6 +134,23 @@ def _write_maps(out_dir: str, disparity: np.ndarray, cost: np.ndarray,
     return paths
 
 
+def _write_manifest(command: str, args, calib_path: str | None, config: dict,
+                    outputs: dict, timings: dict) -> None:
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "inputs": {
+            "left": os.path.abspath(args.left),
+            "right": os.path.abspath(args.right),
+            "calib": os.path.abspath(calib_path) if calib_path else None,
+        },
+        "config": config,
+        "outputs": outputs,
+        "timings": timings,
+    }
+    _write_report(manifest, os.path.join(args.out, "manifest"))
+
+
 def cmd_compute(args) -> int:
     t_total = time.perf_counter()
     d_max, calib_path = _resolve_dmax(args)
@@ -144,7 +161,7 @@ def cmd_compute(args) -> int:
     left, right = _load_pair(args)
     read_seconds = time.perf_counter() - t0
 
-    disparity, cost, trace = run_pipeline(left, right, config, workers=args.threads)
+    disparity, cost, trace = run_pipeline(left, right, config)
 
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
@@ -154,15 +171,9 @@ def cmd_compute(args) -> int:
     trace_stem = os.path.join(args.out, "trace")
     _write_report(trace.to_dict(), trace_stem)
 
-    manifest = {
-        "command": "compute",
-        "version": __version__,
-        "inputs": {
-            "left": os.path.abspath(args.left),
-            "right": os.path.abspath(args.right),
-            "calib": os.path.abspath(calib_path) if calib_path else None,
-        },
-        "config": {
+    _write_manifest(
+        "compute", args, calib_path,
+        config={
             "d_max": config.d_max,
             "levels": len(trace.levels) - 1,
             "block": config.block,
@@ -171,16 +182,14 @@ def cmd_compute(args) -> int:
             "sigma_eps": config.sigma_eps,
             "sign": config.sign,
         },
-        "threads": args.threads,
-        "outputs": {**paths, "trace_json": trace_stem + ".json"},
-        "timings": {
+        outputs={**paths, "trace_json": trace_stem + ".json"},
+        timings={
             "read_seconds": read_seconds,
             "match_seconds": trace.total_seconds,
             "write_seconds": write_seconds,
             "total_seconds": time.perf_counter() - t_total,
         },
-    }
-    _write_report(manifest, os.path.join(args.out, "manifest"))
+    )
     print(
         f"computed {disparity.shape[1]}x{disparity.shape[0]} disparity map: "
         f"{trace.total_evals} cost evaluations over {len(trace.levels)} levels "
@@ -213,19 +222,12 @@ def cmd_baseline(args) -> int:
     }
     _write_report(trace, os.path.join(args.out, "trace"))
 
-    manifest = {
-        "command": "baseline",
-        "version": __version__,
-        "inputs": {
-            "left": os.path.abspath(args.left),
-            "right": os.path.abspath(args.right),
-            "calib": os.path.abspath(calib_path) if calib_path else None,
-        },
-        "config": {"d_max": d_max, "block": args.block, "sign": args.sign},
-        "outputs": {**paths, "trace_json": os.path.join(args.out, "trace.json")},
-        "timings": {"total_seconds": time.perf_counter() - t_total},
-    }
-    _write_report(manifest, os.path.join(args.out, "manifest"))
+    _write_manifest(
+        "baseline", args, calib_path,
+        config={"d_max": d_max, "block": args.block, "sign": args.sign},
+        outputs={**paths, "trace_json": os.path.join(args.out, "trace.json")},
+        timings={"total_seconds": time.perf_counter() - t_total},
+    )
     print(f"baseline full search: {evals} cost evaluations -> {paths['disparity_pfm']}")
     return EXIT_OK
 
@@ -266,8 +268,7 @@ def _scene_paths(scene_dir: str) -> tuple[str, str, str, str]:
     )
 
 
-def _bench_scene(scene: str, paths: tuple[str, str, str, str], args,
-                 threads: int) -> dict:
+def _bench_scene(scene: str, paths: tuple[str, str, str, str], args) -> dict:
     t0 = time.perf_counter()
     left_path, right_path, calib_path, gt_path = paths
     calib = read_calib(calib_path)
@@ -277,7 +278,7 @@ def _bench_scene(scene: str, paths: tuple[str, str, str, str], args,
     config = MatchConfig(d_max=calib.ndisp, levels=args.levels, block=args.block,
                          alpha=args.alpha, beta=args.beta, sign=args.sign)
 
-    disparity, cost, trace = run_pipeline(left, right, config, workers=threads)
+    disparity, cost, trace = run_pipeline(left, right, config)
     ours = evaluate(disparity, gt, scale=args.scale)
     ours.total_evals = trace.total_evals
     ours.trust_fractions = trace.trust_fractions
@@ -320,16 +321,11 @@ def cmd_bench(args) -> int:
     if not runnable:
         raise ConfigError("no complete scenes found")
 
-    scene_workers = max(1, min(args.threads, len(runnable)))
-    inner_threads = max(1, args.threads // scene_workers)
-    if scene_workers == 1:
-        rows = [_bench_scene(*item, args, inner_threads) for item in runnable.items()]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    # Scenes are independent, so --threads N matches N of them at once.
+    import concurrent.futures
 
-        with ThreadPoolExecutor(max_workers=scene_workers) as pool:
-            rows = list(pool.map(lambda item: _bench_scene(*item, args, inner_threads),
-                                 runnable.items()))
+    with concurrent.futures.ThreadPoolExecutor(min(args.threads, len(runnable))) as pool:
+        rows = list(pool.map(lambda item: _bench_scene(*item, args), runnable.items()))
     rows.sort(key=lambda row: row["scene"])
 
     numeric = ["bad_2_ours", "bad_2_baseline", "avg_err_ours", "avg_err_baseline",
@@ -395,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="confidence gate for re-selection and median repair")
     compute.add_argument("--beta", type=float, default=0.9,
                          help="trust gate for the upsampled prior")
-    compute.add_argument("--threads", type=_threads_arg, default=1,
-                         help="worker threads, or 'auto' (results are identical)")
     compute.set_defaults(func=cmd_compute)
 
     baseline = sub.add_parser("baseline", help="single-level full-search disparity map")
@@ -421,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--beta", type=float, default=0.9)
     bench.add_argument("--sign", choices=["middlebury", "paper"], default="middlebury")
     bench.add_argument("--scale", type=float, default=1.0)
-    bench.add_argument("--threads", type=_threads_arg, default=1)
+    bench.add_argument("--threads", type=_threads_arg, default=1,
+                       help="scenes matched at once, or 'auto' (results are identical)")
     bench.add_argument("--out", default="out", help="output directory")
     bench.set_defaults(func=cmd_bench)
     return parser

@@ -1,11 +1,12 @@
 """Coarse-to-fine block matching over a Gaussian stereo pyramid.
 
-The coarsest level is solved by full disparity search.  Each finer level
-then receives the previous disparity and cost maps, upsampled, as a prior:
-pixels whose interpolated cost clears the trust threshold ``beta`` are
-searched only in a three-candidate window around twice the coarse
-disparity, everything else falls back to a full search.  After selection,
-each level runs two confidence-gated repairs controlled by ``alpha``:
+Every level runs the same steps, coarsest first.  A level receives the
+coarser level's disparity and cost maps, upsampled, as a prior: pixels
+whose interpolated cost clears the trust threshold ``beta`` are searched
+only in a three-candidate window around twice the coarse disparity,
+everything else falls back to a full search.  The coarsest level has no
+prior, so all of it is full search.  After selection, each level runs two
+confidence-gated repairs controlled by ``alpha``:
 
 * low-cost pixels are re-selected on the cost vectors summed over their
   3x3 neighborhood (a disparity is trusted when nearby searches agree);
@@ -13,8 +14,7 @@ each level runs two confidence-gated repairs controlled by ``alpha``:
   in their 5x5 window.
 
 All maps are float64; disparities are integer-valued with NaN marking
-pixels that carry no usable value.  Stages never mutate their inputs, and
-results are independent of the worker count.
+pixels that carry no usable value.  Stages never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import binary_dilation, map_coordinates
 
-from .pyramid import StereoPyramid, build_pyramid
+from .pyramid import build_pyramid
 from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine, EvalCounter
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "refine_level",
     "upsample_prior",
     "select_with_prior",
-    "match_level_with_prior",
     "selective_median",
     "run_pipeline",
 ]
@@ -181,7 +180,7 @@ class PipelineTrace:
         return out
 
 
-def match_coarsest(engine: CostEngine, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def match_coarsest(engine: CostEngine) -> tuple[np.ndarray, np.ndarray]:
     """Full-search disparity and cost maps for one level.
 
     Every pixel is evaluated at every candidate disparity (d_max+1 entries
@@ -189,7 +188,7 @@ def match_coarsest(engine: CostEngine, workers: int = 1) -> tuple[np.ndarray, np
     running argmax over the engine's planes, taken as each plane is
     computed, so no volume is built and memory stays O(H*W) for any d_max.
     """
-    planes = engine._planes(workers)
+    planes = map(engine.plane, range(engine.d_max + 1))
     cost = next(planes).copy()
     disparity = np.zeros(cost.shape)
     better = np.empty(cost.shape, dtype=bool)
@@ -268,7 +267,8 @@ def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
     return d_hat, np.clip(c_hat, -1.0, 1.0)
 
 
-def select_with_prior(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray,
+def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
+                      c_hat: np.ndarray | None,
                       beta: float) -> tuple[np.ndarray, np.ndarray, SelectionStats]:
     """Disparity selection guided by an upsampled prior.
 
@@ -276,10 +276,18 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray,
     the candidates {d_hat-1, d_hat, d_hat+1} clipped to [0, d_max] (at most
     three evaluations); all other pixels, including those whose prior is
     NaN or leaves no legal candidate, get a full search.  Ties pick the
-    smallest disparity in both branches.
+    smallest disparity in both branches.  With no prior (``d_hat`` and
+    ``c_hat`` both None) every pixel is searched, by :func:`match_coarsest`.
     """
-    h, w = c_hat.shape
-    if d_hat.shape != (h, w) or (engine.height, engine.width) != (h, w):
+    h, w = engine.height, engine.width
+    if d_hat is None or c_hat is None:
+        if d_hat is not c_hat:
+            raise ValueError("give both prior maps or neither")
+        before = engine.counter.count
+        disparity, cost = match_coarsest(engine)
+        return disparity, cost, SelectionStats(
+            full_search_pixels=h * w, evals=engine.counter.count - before)
+    if d_hat.shape != (h, w) or c_hat.shape != (h, w):
         raise ValueError("prior maps must match the level dimensions")
     d_max = engine.d_max
 
@@ -367,107 +375,63 @@ def selective_median(disparity: np.ndarray, cost: np.ndarray,
     return out
 
 
-def match_level_with_prior(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray,
-                           alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """One finer level end to end: prior-guided selection, neighborhood
-    re-selection, then median repair.  Returns the level's final maps."""
-    disparity, cost, _ = select_with_prior(engine, d_hat, c_hat, beta)
-    disparity, cost = refine_level(engine, disparity, cost, alpha)
-    disparity = selective_median(disparity, cost, alpha)
-    return disparity, cost
-
-
 def _count_changed(before: np.ndarray, after: np.ndarray) -> int:
     both_nan = np.isnan(before) & np.isnan(after)
     return int(np.sum(~both_nan & (before != after)))
 
 
-def _process_level(engine: CostEngine, trace: LevelTrace, alpha: float,
-                   select) -> tuple[np.ndarray, np.ndarray]:
-    """Run select/refine/median for one level, filling the trace."""
-    t0 = time.perf_counter()
-    disparity, cost = select()
-    trace.seconds["select"] = time.perf_counter() - t0
-
-    before = engine.counter.count
-    trace.refined = int(np.sum(cost <= alpha))
-    t0 = time.perf_counter()
-    disparity, cost = refine_level(engine, disparity, cost, alpha)
-    trace.seconds["refine"] = time.perf_counter() - t0
-    trace.refine_evals = engine.counter.count - before
-
-    t0 = time.perf_counter()
-    filtered = selective_median(disparity, cost, alpha)
-    trace.seconds["median"] = time.perf_counter() - t0
-    trace.median_replaced = _count_changed(disparity, filtered)
-    return filtered, cost
-
-
 def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
-                 workers: int = 1,
-                 pyramid: StereoPyramid | None = None,
                  ) -> tuple[np.ndarray, np.ndarray, PipelineTrace]:
     """Compute the full-resolution disparity and cost maps for a pair.
 
-    Builds the pyramid (unless one is supplied), solves the coarsest level
-    by full search, then walks down to level 0 reusing each level's result
-    as the next one's prior.  Returns the level-0 maps and the complete
+    Builds the pyramid, then matches each level from the coarsest down to
+    level 0, each one around the upsampled result of the level before it
+    (the coarsest has no prior).  Returns the level-0 maps and the complete
     trace of evaluation counters and stage timings.
     """
     t_start = time.perf_counter()
-    if pyramid is None:
-        t0 = time.perf_counter()
-        pyramid = build_pyramid(left, right, config.d_max,
-                                levels=config.levels, base_block=config.block)
-        build_seconds = time.perf_counter() - t0
-    else:
-        build_seconds = 0.0
-
+    pyramid = build_pyramid(left, right, config.d_max,
+                            levels=config.levels, base_block=config.block)
+    trace = PipelineTrace(build_seconds=time.perf_counter() - t_start)
     counter = EvalCounter()
-    trace = PipelineTrace(build_seconds=build_seconds)
+    alpha = config.alpha
 
-    def _make_trace(level) -> LevelTrace:
-        return LevelTrace(level=level.index, height=level.shape[0],
-                          width=level.shape[1], d_max=level.d_max,
-                          block=level.block)
-
-    coarse = pyramid.coarsest
-    engine = CostEngine(coarse.left, coarse.right, coarse.block, coarse.d_max,
-                        sigma_eps=config.sigma_eps, sign=config.sign, counter=counter)
-    ltrace = _make_trace(coarse)
-    disparity, cost = _process_level(
-        engine, ltrace, config.alpha,
-        select=lambda: match_coarsest(engine, workers=workers),
-    )
-    ltrace.full_search_pixels = ltrace.pixels
-    ltrace.selection_evals = ltrace.pixels * (coarse.d_max + 1)
-    trace.levels.append(ltrace)
-
-    for k in range(len(pyramid) - 2, -1, -1):
-        level = pyramid[k]
+    disparity = cost = None
+    for level in reversed(pyramid.levels):
         engine = CostEngine(level.left, level.right, level.block, level.d_max,
                             sigma_eps=config.sigma_eps, sign=config.sign,
                             counter=counter)
-        ltrace = _make_trace(level)
+        ltrace = LevelTrace(level=level.index, height=level.shape[0],
+                            width=level.shape[1], d_max=level.d_max,
+                            block=level.block)
+        seconds = ltrace.seconds
+
+        if disparity is not None:
+            t0 = time.perf_counter()
+            disparity, cost = upsample_prior(disparity, cost, level.shape)
+            seconds["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        d_hat, c_hat = upsample_prior(disparity, cost, level.shape)
-        ltrace.seconds["upsample"] = time.perf_counter() - t0
-
-        stats_box: list[SelectionStats] = []
-
-        def _select() -> tuple[np.ndarray, np.ndarray]:
-            d, c, stats = select_with_prior(engine, d_hat, c_hat, config.beta)
-            stats_box.append(stats)
-            return d, c
-
-        disparity, cost = _process_level(engine, ltrace, config.alpha, _select)
-        stats = stats_box[0]
+        disparity, cost, stats = select_with_prior(engine, disparity, cost, config.beta)
+        seconds["select"] = time.perf_counter() - t0
         ltrace.trusted = stats.trusted
         ltrace.trusted_evals = stats.trusted_evals
         ltrace.trusted_window_max = stats.window_max
         ltrace.full_search_pixels = stats.full_search_pixels
         ltrace.selection_evals = stats.evals
+
+        before = counter.count
+        ltrace.refined = int(np.sum(cost <= alpha))
+        t0 = time.perf_counter()
+        disparity, cost = refine_level(engine, disparity, cost, alpha)
+        seconds["refine"] = time.perf_counter() - t0
+        ltrace.refine_evals = counter.count - before
+
+        t0 = time.perf_counter()
+        filtered = selective_median(disparity, cost, alpha)
+        seconds["median"] = time.perf_counter() - t0
+        ltrace.median_replaced = _count_changed(disparity, filtered)
+        disparity = filtered
         trace.levels.append(ltrace)
 
     trace.total_seconds = time.perf_counter() - t_start

@@ -47,7 +47,6 @@ __all__ = [
     "patch_stats",
     "zncc",
     "dsi_entry",
-    "averaged_dsi",
 ]
 
 # Matching direction for rectified pairs: a left-image feature sits at a
@@ -57,11 +56,6 @@ SIGN_MIDDLEBURY = "middlebury"
 SIGN_PAPER_PLUS = "paper"
 
 _GATHER_CHUNK = 4096
-
-# Eight-connected neighborhood plus the center, used for cost averaging.
-NEIGHBORHOOD_3X3 = tuple(
-    (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
-)
 
 
 @dataclass(frozen=True)
@@ -74,19 +68,10 @@ class PatchStats:
 
 @dataclass
 class DsiSlice:
-    """Costs of one pixel across candidate disparities.
-
-    ``evaluated`` flags the entries that were actually computed; the rest
-    hold the floor cost and were never requested.
-    """
+    """Costs of one pixel across candidate disparities."""
 
     pixel: tuple[int, int]
     costs: np.ndarray
-    evaluated: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.evaluated is None:
-            self.evaluated = np.ones(self.costs.shape, dtype=bool)
 
 
 class EvalCounter:
@@ -166,6 +151,8 @@ class CostEngine:
         for img in (left, right):
             if img.ndim != 2:
                 raise ValueError(f"expected 2-D grayscale arrays, got shape {img.shape}")
+            if not np.isfinite(img).all():
+                raise ValueError("images contain non-finite values (NaN or inf)")
         if left.shape != right.shape:
             raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
         if block < 3 or block % 2 == 0:
@@ -258,29 +245,11 @@ class CostEngine:
         self.counter.add(h * w)
         return cost
 
-    def _planes(self, workers: int = 1):
-        """Yield plane(0), plane(1), ..., plane(d_max) in order.
-
-        With ``workers > 1`` the planes are computed ``workers`` at a time
-        on a thread pool, so at most that many are held before they are
-        yielded.  Planes are independent, so they are bit-identical for any
-        worker count.
-        """
-        zs = range(self.d_max + 1)
-        if workers <= 1:
-            yield from map(self.plane, zs)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, len(zs), workers):
-                yield from pool.map(self.plane, zs[start:start + workers])
-
-    def full_volume(self, workers: int = 1) -> np.ndarray:
+    def full_volume(self) -> np.ndarray:
         """All planes stacked as (d_max+1, H, W)."""
         volume = np.empty((self.d_max + 1, self.height, self.width))
-        for z, cost in enumerate(self._planes(workers)):
-            volume[z] = cost
+        for z in range(self.d_max + 1):
+            volume[z] = self.plane(z)
         return volume
 
     def at(self, rows: np.ndarray, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -409,24 +378,3 @@ def dsi_entry(engine: CostEngine, i: int, j: int, z: int) -> float:
     """
     z = engine._check_z(z)
     return float(engine.at(np.array([i]), np.array([j]), np.array([z]))[0])
-
-
-def averaged_dsi(engine: CostEngine, i: int, j: int,
-                 neighborhood=NEIGHBORHOOD_3X3) -> DsiSlice:
-    """Summed cost vector over a pixel's neighborhood.
-
-    Out-of-bounds neighbors are dropped; when none survive clipping the
-    pixel's own costs are returned.  The argmax of the sum equals the
-    argmax of the mean, so the sum is stored as-is.
-    """
-    coords = [
-        (i + di, j + dj)
-        for di, dj in neighborhood
-        if 0 <= i + di < engine.height and 0 <= j + dj < engine.width
-    ]
-    if not coords:
-        return engine.dsi_slice(i, j)
-    rows = np.array([c[0] for c in coords])
-    cols = np.array([c[1] for c in coords])
-    summed = engine.dsi_rows(rows, cols).sum(axis=0)
-    return DsiSlice(pixel=(int(i), int(j)), costs=summed)

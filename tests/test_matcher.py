@@ -13,7 +13,6 @@ from pyrstereo import (
     build_pyramid,
     interior_mask,
     match_coarsest,
-    match_level_with_prior,
     refine_level,
     run_pipeline,
     select_with_prior,
@@ -152,6 +151,7 @@ def test_refine_repairs_bad_pixel_from_neighborhood():
     cost = cost.copy()
     disparity[8, 16] = 0.0
     cost[8, 16] = 0.1
+    cost[0, 0] = 0.1  # a corner pixel sums its clipped 2x2 neighborhood
     refined_d, refined_c = refine_level(engine, disparity, cost, alpha=0.9)
     assert refined_d[8, 16] == 4.0
     from oracles import naive_averaged_dsi
@@ -159,6 +159,9 @@ def test_refine_repairs_bad_pixel_from_neighborhood():
     expected, members = naive_averaged_dsi(left, right, 8, 16, 1, 8)
     assert members == 9
     assert abs(refined_c[8, 16] - expected.max() / members) <= 1e-9
+    expected, members = naive_averaged_dsi(left, right, 0, 0, 1, 8)
+    assert members == 4
+    assert abs(refined_c[0, 0] - expected.max() / members) <= 1e-9
 
 
 def test_refine_is_idempotent():
@@ -278,6 +281,21 @@ def test_prior_guided_search_invalid_prior_falls_back():
     assert np.isfinite(disparity).all()
 
 
+def test_select_without_prior_is_full_search():
+    rng = np.random.default_rng(14)
+    left, right = rng.random((15, 19)), rng.random((15, 19))
+    engine = CostEngine(left, right, block=3, d_max=7)
+    disparity, cost, stats = select_with_prior(engine, None, None, beta=0.9)
+    expected_d, expected_c = match_coarsest(CostEngine(left, right, block=3, d_max=7))
+    np.testing.assert_array_equal(disparity, expected_d)
+    np.testing.assert_array_equal(cost, expected_c)
+    assert stats.trusted == 0
+    assert stats.full_search_pixels == 15 * 19
+    assert stats.evals == engine.counter.count == 15 * 19 * 8
+    with pytest.raises(ValueError):
+        select_with_prior(engine, None, np.zeros((15, 19)), beta=0.9)
+
+
 def test_match_level_with_prior_composes_stages():
     rng = np.random.default_rng(12)
     left, right = shifted_pair(20, 30, 3, rng, cutoff=0.15)
@@ -287,7 +305,9 @@ def test_match_level_with_prior_composes_stages():
     d_hat = np.zeros((20, 30))
     c_hat = np.full((20, 30), -1.0)
 
-    got_d, got_c = match_level_with_prior(engine_a, d_hat, c_hat, alpha, beta)
+    got_d, got_c, _ = select_with_prior(engine_a, d_hat, c_hat, beta)
+    got_d, got_c = refine_level(engine_a, got_d, got_c, alpha)
+    got_d = selective_median(got_d, got_c, alpha)
 
     d0, c0 = match_coarsest(engine_b)
     d1, c1 = refine_level(engine_b, d0, c0, alpha)
@@ -379,17 +399,6 @@ def test_pipeline_trace_identity_and_ranges():
         assert lt.evals <= bound
     coarse = trace.levels[0]
     assert coarse.selection_evals == coarse.pixels * (coarse.d_max + 1)
-
-
-def test_pipeline_deterministic_across_workers():
-    rng = np.random.default_rng(19)
-    left, right = shifted_pair(48, 56, 4, rng, cutoff=0.05)
-    config = MatchConfig(d_max=12, levels=2, block=5)
-    d1, c1, t1 = run_pipeline(left, right, config, workers=1)
-    d2, c2, t2 = run_pipeline(left, right, config, workers=4)
-    np.testing.assert_array_equal(d1, d2)
-    np.testing.assert_array_equal(c1, c2)
-    assert t1.counts_dict() == t2.counts_dict()
 
 
 def test_pipeline_rejects_mismatched_pair():

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fsum_zncc, naive_averaged_dsi, naive_dsi_vector
+from oracles import fsum_zncc, naive_dsi_vector
 from pyrstereo import (
     CostEngine,
     EvalCounter,
-    averaged_dsi,
+    MatchConfig,
+    baseline_bm,
     dsi_entry,
     patch_stats,
+    run_pipeline,
     shifted_pair,
     zncc,
 )
@@ -249,42 +251,11 @@ def test_counter_thread_safety():
 def test_parallel_volume_is_exact_and_counted():
     rng = np.random.default_rng(18)
     left, right = _random_images(rng, 12, 14)
-    serial = CostEngine(left, right, block=3, d_max=6)
-    threaded = CostEngine(left, right, block=3, d_max=6)
-    np.testing.assert_array_equal(serial.full_volume(workers=1),
-                                  threaded.full_volume(workers=4))
-    assert serial.counter.count == threaded.counter.count == 12 * 14 * 7
-
-
-def test_averaged_dsi_interior_matches_double_loop():
-    rng = np.random.default_rng(13)
-    left, right = shifted_pair(9, 12, 2, rng, cutoff=0.2)
-    engine = CostEngine(left, right, block=3, d_max=4)
-    for (i, j) in [(4, 6), (3, 3), (5, 9)]:
-        got = averaged_dsi(engine, i, j)
-        expected, members = naive_averaged_dsi(left, right, i, j, 1, 4)
-        assert members == 9
-        np.testing.assert_allclose(got.costs, expected, atol=1e-9)
-
-
-def test_averaged_dsi_corner_clips():
-    rng = np.random.default_rng(14)
-    left, right = _random_images(rng, 7, 9)
-    engine = CostEngine(left, right, block=3, d_max=3)
-    got = averaged_dsi(engine, 0, 0)
-    expected, members = naive_averaged_dsi(left, right, 0, 0, 1, 3)
-    assert members == 4
-    np.testing.assert_allclose(got.costs, expected, atol=1e-9)
-
-
-def test_averaged_dsi_empty_after_clipping_falls_back_to_own():
-    rng = np.random.default_rng(17)
-    left, right = _random_images(rng, 7, 9)
-    engine = CostEngine(left, right, block=3, d_max=3)
-    # A neighborhood whose members all land outside the image.
-    far = [(-5, -5), (-6, 0), (0, -9)]
-    got = averaged_dsi(engine, 0, 0, neighborhood=far)
-    np.testing.assert_array_equal(got.costs, engine.dsi_slice(0, 0).costs)
+    engine = CostEngine(left, right, block=3, d_max=6)
+    volume = engine.full_volume()
+    assert engine.counter.count == 12 * 14 * 7
+    for z in range(7):
+        np.testing.assert_array_equal(volume[z], engine.plane(z))
 
 
 def test_identical_neighbor_vectors_keep_argmax():
@@ -317,3 +288,20 @@ def test_engine_validation():
     for shape in [(6, 6, 3), (6,)]:
         with pytest.raises(ValueError, match="expected 2-D grayscale arrays"):
             CostEngine(np.zeros(shape), np.zeros(shape), block=3, d_max=4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_non_finite_input_is_rejected(bad, side):
+    # One non-finite pixel would otherwise spread through the running sums
+    # and silently corrupt the maps around it.
+    rng = np.random.default_rng(4242)
+    left, right = shifted_pair(128, 128, 7, rng, cutoff=0.02)
+    pair = {"left": left, "right": right}
+    pair[side][64, 64] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        CostEngine(pair["left"], pair["right"], block=11, d_max=32)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_pipeline(pair["left"], pair["right"], MatchConfig(d_max=32, levels=2))
+    with pytest.raises(ValueError, match="non-finite"):
+        baseline_bm(pair["left"], pair["right"], 32, 11)
