@@ -30,6 +30,7 @@ from .matcher import (
     LevelTrace,
     MatchConfig,
     PipelineTrace,
+    SelectionStats,
     match_coarsest,
     refine_level,
     run_pipeline,
@@ -77,6 +78,7 @@ __all__ = [
     "PatchStats",
     "PipelineTrace",
     "PyramidLevel",
+    "SelectionStats",
     "StereoPyramid",
     "TruncatedPayloadError",
     "UnsupportedMaxvalError",

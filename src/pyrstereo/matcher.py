@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+# Low-cost pixels whose neighbor sums refine_level holds at a time.
+_REFINE_CHUNK = 4096
+
+
 class ConfigError(ValueError):
     """A matching parameter is outside its legal range."""
 
@@ -85,13 +89,21 @@ class MatchConfig:
 
 @dataclass
 class SelectionStats:
-    """Bookkeeping of one prior-guided selection pass."""
+    """Bookkeeping of one prior-guided selection pass.
+
+    ``vectors`` holds the rows, columns and full cost vectors of the pixels
+    that fell back to full search, for :func:`refine_level` to read instead
+    of recomputing them.  It is None when no pixel fell back, and when a
+    level without a prior was searched by planes.
+    """
 
     trusted: int = 0
     trusted_evals: int = 0
     window_max: int = 0
     full_search_pixels: int = 0
     evals: int = 0
+    vectors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False)
 
 
 @dataclass
@@ -110,6 +122,7 @@ class LevelTrace:
     selection_evals: int = 0
     refined: int = 0
     refine_evals: int = 0
+    refine_reused: int = 0
     median_replaced: int = 0
     seconds: dict = field(default_factory=dict)
 
@@ -141,6 +154,7 @@ class LevelTrace:
             "selection_evals": self.selection_evals,
             "refined": self.refined,
             "refine_evals": self.refine_evals,
+            "refine_reused": self.refine_reused,
             "median_replaced": self.median_replaced,
             "seconds": dict(self.seconds),
         }
@@ -201,43 +215,63 @@ def match_coarsest(engine: CostEngine) -> tuple[np.ndarray, np.ndarray]:
 
 
 def refine_level(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
-                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
+                 alpha: float, vectors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Re-select low-confidence pixels on neighborhood-summed cost vectors.
 
     Pixels with cost above ``alpha`` pass through untouched.  The rest take
     the disparity with the best cost summed over their (clipped) 3x3
     neighborhood; the stored cost is that sum divided by the neighborhood
     size, so it stays comparable to ``alpha`` at later gates.
+
+    ``vectors`` are full cost vectors this engine already computed, as
+    ``(rows, cols, costs)`` (see :class:`SelectionStats`).  They are read
+    instead of recomputed, so only the missing vectors are evaluated and
+    counted; the maps are the same either way.  Returns the new maps and
+    the number of vectors read from ``vectors``.
     """
     low = cost <= alpha
     if not low.any():
-        return disparity.copy(), cost.copy()
+        return disparity.copy(), cost.copy(), 0
 
     h, w = cost.shape
     needed = binary_dilation(low, structure=np.ones((3, 3), dtype=bool))
-    nrows, ncols = np.nonzero(needed)
-    rows_dsi = engine.dsi_rows(nrows, ncols)
+    # Vector row of each needed pixel, with a border of -1 ("no neighbor"):
+    # rows below known_n index the given vectors, the rest the computed ones.
+    index = np.full((h + 2, w + 2), -1, dtype=np.intp)
+    inner = index[1:-1, 1:-1]
+    known = np.empty((0, engine.d_max + 1))
+    reused = 0
+    if vectors is not None:
+        krows, kcols, known = vectors
+        use = needed[krows, kcols]
+        inner[krows[use], kcols[use]] = np.nonzero(use)[0]
+        reused = int(np.count_nonzero(use))
+    known_n = known.shape[0]
+    mrows, mcols = np.nonzero(needed & (inner < 0))
+    fresh = engine.dsi_rows(mrows, mcols)
+    inner[mrows, mcols] = known_n + np.arange(mrows.shape[0])
 
-    # Map image coordinates of evaluated pixels into row indices of rows_dsi.
-    index = np.full((h, w), -1, dtype=np.intp)
-    index[nrows, ncols] = np.arange(nrows.shape[0])
-
-    li, lj = np.nonzero(low)
-    summed = np.zeros((li.shape[0], engine.d_max + 1))
-    members = np.zeros(li.shape[0])
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            qi, qj = li + di, lj + dj
-            inside = (qi >= 0) & (qi < h) & (qj >= 0) & (qj < w)
-            summed[inside] += rows_dsi[index[qi[inside], qj[inside]]]
-            members[inside] += 1.0
-
-    best = np.argmax(summed, axis=1)
     new_d = disparity.copy()
     new_c = cost.copy()
-    new_d[li, lj] = best.astype(np.float64)
-    new_c[li, lj] = summed[np.arange(li.shape[0]), best] / members
-    return new_d, new_c
+    li, lj = np.nonzero(low)
+    for start in range(0, li.shape[0], _REFINE_CHUNK):
+        ci = li[start:start + _REFINE_CHUNK]
+        cj = lj[start:start + _REFINE_CHUNK]
+        summed = np.zeros((ci.shape[0], engine.d_max + 1))
+        members = np.zeros(ci.shape[0])
+        for di in (0, 1, 2):
+            for dj in (0, 1, 2):
+                src = index[ci + di, cj + dj]
+                members += src >= 0
+                old = (src >= 0) & (src < known_n)
+                summed[old] += known[src[old]]
+                new = src >= known_n
+                summed[new] += fresh[src[new] - known_n]
+        best = np.argmax(summed, axis=1)
+        new_d[ci, cj] = best.astype(np.float64)
+        new_c[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
+    return new_d, new_c, reused
 
 
 def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
@@ -303,24 +337,15 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
     before = engine.counter.count
     if stats.trusted:
         ti, tj = np.nonzero(trusted)
-        tz = center[ti, tj]
-        best_c = np.full(ti.shape[0], -2.0)
-        best_z = np.zeros(ti.shape[0], dtype=np.intp)
-        window_size = np.zeros(ti.shape[0], dtype=np.intp)
-        for offset in (-1, 0, 1):  # ascending keeps smallest-z tie-breaking
-            z = tz + offset
-            legal = (z >= 0) & (z <= d_max)
-            if not legal.any():
-                continue
-            window_size[legal] += 1
-            c = engine.at(ti[legal], tj[legal], z[legal])
-            improve = c > best_c[legal]
-            sel = np.nonzero(legal)[0][improve]
-            best_c[sel] = c[improve]
-            best_z[sel] = z[legal][improve]
-        disparity[ti, tj] = best_z.astype(np.float64)
-        cost[ti, tj] = best_c
-        stats.window_max = int(window_size.max())
+        z0 = center[ti, tj] - 1
+        costs = engine.window(ti, tj, z0, 3)
+        z = z0[:, np.newaxis] + np.arange(3)
+        legal = (z >= 0) & (z <= d_max)
+        costs[~legal] = -2.0  # below the floor: an illegal candidate never wins
+        pick = np.argmax(costs, axis=1)  # the first maximum: ties keep the smallest z
+        disparity[ti, tj] = (z0 + pick).astype(np.float64)
+        cost[ti, tj] = costs[np.arange(ti.shape[0]), pick]
+        stats.window_max = int(legal.sum(axis=1).max())
         stats.trusted_evals = engine.counter.count - before
 
     full = ~trusted
@@ -331,6 +356,7 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
         best = np.argmax(rows, axis=1)
         disparity[fi, fj] = best.astype(np.float64)
         cost[fi, fj] = rows[np.arange(fi.shape[0]), best]
+        stats.vectors = (fi, fj, rows)
 
     stats.evals = engine.counter.count - before
     return disparity, cost, stats
@@ -423,9 +449,11 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
         before = counter.count
         ltrace.refined = int(np.sum(cost <= alpha))
         t0 = time.perf_counter()
-        disparity, cost = refine_level(engine, disparity, cost, alpha)
+        disparity, cost, ltrace.refine_reused = refine_level(engine, disparity, cost,
+                                                             alpha, stats.vectors)
         seconds["refine"] = time.perf_counter() - t0
         ltrace.refine_evals = counter.count - before
+        del stats  # its vectors are not needed past refine
 
         t0 = time.perf_counter()
         filtered = selective_median(disparity, cost, alpha)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
+from .zncc import check_pair
+
 __all__ = [
     "BINOMIAL_KERNEL",
     "PyramidLevel",
@@ -119,15 +121,11 @@ def build_pyramid(left: np.ndarray, right: np.ndarray, d_max: int,
     ``levels`` is the number of halvings K (level 0 keeps the originals
     untouched); None selects K with :func:`auto_levels`.  An explicit K is
     rejected when the coarsest level would shrink below twice its block
-    size or its disparity bound would fall below 2.
+    size or its disparity bound would fall below 2.  Images must be 2-D,
+    of one shape and finite, since one NaN or inf would spread through
+    every downsampled level.
     """
-    left = np.asarray(left, dtype=np.float64)
-    right = np.asarray(right, dtype=np.float64)
-    for img in (left, right):
-        if img.ndim != 2:
-            raise ValueError(f"expected 2-D grayscale arrays, got shape {img.shape}")
-    if left.shape != right.shape:
-        raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
+    left, right = check_pair(left, right)
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     if base_block < 3 or base_block % 2 == 0:

@@ -16,16 +16,16 @@ image for the requested disparity.
 :class:`CostEngine` evaluates these costs for a whole level.  It keeps a
 running count of every (pixel, disparity) entry it computes in a
 thread-safe :class:`EvalCounter`; the counts are the basis of all
-complexity accounting downstream.  It has three evaluation paths:
+complexity accounting downstream.  It has two evaluation paths:
 
 - box-sum planes (``plane``, ``full_volume``): every pixel at one
   disparity, O(1) per pixel per disparity; a full search can take them
   one at a time and hold O(H*W) memory instead of the whole volume;
-- row-shared full vectors (``dsi_rows``): a sparse pixel set at every
-  disparity; each distinct block row is correlated once across all
-  disparities and shared by the vertically adjacent pixels that need it;
-- gathered triples (``at``): arbitrary (pixel, disparity) entries, each a
-  direct product of its two blocks.
+- the window kernel (``window``): a sparse pixel set, each pixel at its
+  own run of consecutive disparities; each distinct block row is
+  correlated once across the run and shared by the vertically adjacent
+  pixels that need it.  Full vectors (``dsi_rows``) and single entries
+  (``at``) are windows of d_max+1 and of one disparity.
 """
 
 from __future__ import annotations
@@ -55,7 +55,12 @@ SIGN_MIDDLEBURY = "middlebury"
 # Literal (i, j + z) form, selectable for pairs rectified the other way.
 SIGN_PAPER_PLUS = "paper"
 
-_GATHER_CHUNK = 4096
+# Cost entries per pass of the window kernel (pixels times window
+# length); bounds its scratch memory and keeps each pass in cache.
+_GATHER_CHUNK = 16384
+# How far a window may reach past [0, d_max] on either side: a
+# three-candidate window centred one step outside the range.
+_REACH = 2
 
 
 @dataclass(frozen=True)
@@ -133,28 +138,37 @@ def zncc(left: np.ndarray, right: np.ndarray, center_l: tuple[int, int],
     return float(min(1.0, max(-1.0, value)))
 
 
+def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both images as contiguous float64 arrays.
+
+    Raises ValueError unless both are 2-D, of one shape and finite.
+    """
+    left = np.ascontiguousarray(left, dtype=np.float64)
+    right = np.ascontiguousarray(right, dtype=np.float64)
+    for img in (left, right):
+        if img.ndim != 2:
+            raise ValueError(f"expected 2-D grayscale arrays, got shape {img.shape}")
+        if not np.isfinite(img).all():
+            raise ValueError("images contain non-finite values (NaN or inf)")
+    if left.shape != right.shape:
+        raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
+    return left, right
+
+
 class CostEngine:
     """Disparity-cost evaluator for one pyramid level.
 
     Block means and deviations are precomputed once per image with box
-    filters under replicate borders, so the three evaluation paths (box-sum
-    planes, row-shared full vectors and gathered triples) share the same
-    statistics and degeneracy decisions; they differ only in the order in
-    which the cross sums are added.
+    filters under replicate borders, so the two evaluation paths (box-sum
+    planes and the row-shared window kernel) share the same statistics and
+    degeneracy decisions; they differ only in the order in which the cross
+    sums are added.
     """
 
     def __init__(self, left: np.ndarray, right: np.ndarray, block: int, d_max: int,
                  sigma_eps: float = 1e-6, sign: str = SIGN_MIDDLEBURY,
                  counter: EvalCounter | None = None) -> None:
-        left = np.ascontiguousarray(left, dtype=np.float64)
-        right = np.ascontiguousarray(right, dtype=np.float64)
-        for img in (left, right):
-            if img.ndim != 2:
-                raise ValueError(f"expected 2-D grayscale arrays, got shape {img.shape}")
-            if not np.isfinite(img).all():
-                raise ValueError("images contain non-finite values (NaN or inf)")
-        if left.shape != right.shape:
-            raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
+        left, right = check_pair(left, right)
         if block < 3 or block % 2 == 0:
             raise ValueError(f"block must be odd and >= 3, got {block}")
         if d_max < 0:
@@ -172,30 +186,25 @@ class CostEngine:
         self.counter = counter if counter is not None else EvalCounter()
 
         self._lp = np.pad(left, self.half, mode="edge")
-        self._rp = np.pad(right, self.half, mode="edge")
-        self._lwin = sliding_window_view(self._lp, (block, block))
-        self._rwin = sliding_window_view(self._rp, (block, block))
-
-        self.mean_l, self.sigma_l = self._stats(left)
-        self.mean_r, self.sigma_r = self._stats(right)
-        self._ok_l = self.sigma_l >= self.sigma_eps
-        self._ok_r = self.sigma_r >= self.sigma_eps
-
-        # Full vectors read the right side along disparity as windows: the
-        # window starting at column j covers right columns j-d_max..j+block-1
-        # of the padded image (j..j+d_max+block-1 for the paper sign).  The
-        # right arrays gain d_max zero columns on both sides so every window
-        # stays in bounds; the added columns are degenerate, which applies
-        # the out-of-range rule.
-        d = self.d_max
-        side = ((0, 0), (d, d))
         self._lrows = sliding_window_view(self._lp, block, axis=1)
-        self._rsegs = sliding_window_view(np.pad(self._rp, side), d + block, axis=1)
-        self._mean_rz, self._sigma_rz, self._ok_rz = (
-            sliding_window_view(np.pad(a, side), d + 1, axis=1)
-            for a in (self.mean_r, self.sigma_r, self._ok_r)
-        )
-        self._zstart = 0 if sign == SIGN_MIDDLEBURY else d
+        self.mean_l, self.sigma_l = self._stats(left)
+        self._ok_l = self.sigma_l >= self.sigma_eps
+
+        # The right image and its statistics carry d_max+_REACH zero columns
+        # on both sides, so a window at any legal disparity reads in bounds;
+        # the added columns are degenerate, which applies the out-of-range
+        # rule.  The unpadded arrays are views into the padded ones.
+        pad = self._pad = self.d_max + _REACH
+        side = ((0, 0), (pad, pad))
+        inner = np.s_[:, pad:pad + self.width]
+        mean_r, sigma_r = self._stats(right)
+        self._rpz = np.pad(np.pad(right, self.half, mode="edge"), side)
+        self._rp = self._rpz[:, pad:pad + self.width + 2 * self.half]
+        self._mean_rz = np.pad(mean_r, side)
+        self._sigma_rz = np.pad(sigma_r, side)
+        self._ok_rz = np.pad(sigma_r >= self.sigma_eps, side)
+        self.mean_r, self.sigma_r = self._mean_rz[inner], self._sigma_rz[inner]
+        self._ok_r = self._ok_rz[inner]
 
     def _stats(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = uniform_filter(img, size=self.block, mode="nearest")
@@ -252,6 +261,105 @@ class CostEngine:
             volume[z] = self.plane(z)
         return volume
 
+    def window(self, rows: np.ndarray, cols: np.ndarray, z0, nz: int) -> np.ndarray:
+        """Costs of each pixel at disparities z0..z0+nz-1, shape (S, nz).
+
+        ``z0`` is one start per pixel, or one for all.  A window may reach
+        up to two disparities past [0, d_max] on either side; entries there
+        follow the same cost rule but are not counted, so the counter grows
+        by the number of entries inside [0, d_max].
+
+        Block row p of pixel (i, j) is padded row i+p at column j.  Pixels
+        are sorted by (column, z0, row) and taken a chunk at a time; a pixel
+        shares the block rows that the previous pixel of its (column, z0)
+        run already has, so each distinct block row is correlated once over
+        the window.  A pixel's cross sums add its block rows in order p, so
+        each entry is computed by the same operations whatever else is
+        requested with it.
+        """
+        rows = np.asarray(rows, dtype=np.intp).ravel()
+        cols = np.asarray(cols, dtype=np.intp).ravel()
+        if rows.shape != cols.shape:
+            raise ValueError("rows and cols must have identical shapes")
+        z0 = np.asarray(z0, dtype=np.intp)
+        z0 = np.broadcast_to(z0, rows.shape) if z0.ndim == 0 else z0.ravel()
+        if z0.shape != rows.shape:
+            raise ValueError("z0 must be a scalar or have one entry per pixel")
+        nz = int(nz)
+        if nz < 1:
+            raise ValueError(f"window length must be >= 1, got {nz}")
+        if z0.size and (z0.min() < -_REACH or z0.max() + nz - 1 > self.d_max + _REACH):
+            raise ValueError(f"window reaches beyond [{-_REACH}, {self.d_max + _REACH}]")
+
+        # The right image and statistics as windows: [i, s] holds row i
+        # from padded column s on.
+        right = tuple(sliding_window_view(a, n, axis=1) for a, n in (
+            (self._rpz, nz + self.block - 1),
+            (self._ok_rz, nz), (self._mean_rz, nz), (self._sigma_rz, nz)))
+        out = np.empty((rows.shape[0], nz))
+        order = np.lexsort((rows, z0, cols))
+        chunk = max(1, _GATHER_CHUNK // nz)
+        for start in range(0, order.shape[0], chunk):
+            sel = order[start:start + chunk]
+            out[sel] = self._window_chunk(rows[sel], cols[sel], z0[sel], nz, right)
+        legal = np.minimum(z0 + nz - 1, self.d_max) - np.maximum(z0, 0) + 1
+        self.counter.add(np.maximum(legal, 0).sum())
+        return out
+
+    def _window_chunk(self, rows, cols, z0, nz, right):
+        b = self.block
+        segs, ok_r, mean_r, sigma_r = right
+        # Block rows a pixel adds to the distinct ones: all b at the start
+        # of a (column, z0) run, else those below the previous pixel's.
+        new = np.full(rows.shape[0], b)
+        run = (cols[1:] == cols[:-1]) & (z0[1:] == z0[:-1])
+        np.minimum(rows[1:] - rows[:-1], b, out=new[1:], where=run)
+        # A pixel's b block rows are consecutive distinct rows from first.
+        ends = np.cumsum(new)
+        first = ends - b
+        owner = np.repeat(np.arange(rows.shape[0]), new)
+        q = rows[owner] + np.arange(ends[-1]) - first[owner]
+
+        # Right windows start at column s: index k of a window is disparity
+        # z0+nz-1-k under the Middlebury sign and z0+k under the paper sign.
+        if self.sign == SIGN_MIDDLEBURY:
+            s = cols - z0 - (nz - 1) + self._pad
+        else:
+            s = cols + z0 + self._pad
+
+        # Correlate each distinct block row over the window: index k against
+        # right segment entries k..k+b-1.  The products run over (k, row)
+        # planes so each one is a single contiguous pass.
+        lrow = np.ascontiguousarray(self._lrows[q, cols[owner]].T)
+        seg = np.ascontiguousarray(segs[q, s[owner]].T)
+        del q, owner
+        corr = np.zeros((nz, lrow.shape[1]))
+        term = np.empty_like(corr)
+        for t in range(b):
+            np.multiply(seg[t:t + nz], lrow[t], out=term)
+            corr += term
+        del seg, term
+        corr = np.ascontiguousarray(corr.T)
+
+        # A pixel adds its b block rows in order p.
+        cross = corr[first]
+        for p in range(1, b):
+            cross += corr[first + p]
+        del corr  # before the statistics' temporaries
+
+        # The masking and the arithmetic of plane, in place on cross.
+        ok = self._ok_l[rows, cols][:, np.newaxis] & ok_r[rows, s]
+        cross /= self.area
+        cross -= self.mean_l[rows, cols][:, np.newaxis] * mean_r[rows, s]
+        cross /= np.where(ok, self.sigma_l[rows, cols][:, np.newaxis] * sigma_r[rows, s], 1.0)
+        np.clip(cross, -1.0, 1.0, out=cross)
+        cross[~ok] = -1.0
+        return cross[:, ::-1] if self.sign == SIGN_MIDDLEBURY else cross
+
+    def dsi_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Full cost vectors for a sparse pixel set, shape (S, d_max+1)."""
+        return self.window(rows, cols, 0, self.d_max + 1)
+
     def at(self, rows: np.ndarray, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Costs of arbitrary (pixel, disparity) triples.
 
@@ -265,92 +373,7 @@ class CostEngine:
             raise ValueError("rows, cols and z must have identical shapes")
         if z.size and (z.min() < 0 or z.max() > self.d_max):
             raise ValueError(f"disparities outside [0, {self.d_max}]")
-
-        out = np.empty(rows.shape[0])
-        for start in range(0, rows.shape[0], _GATHER_CHUNK):
-            sl = slice(start, start + _GATHER_CHUNK)
-            out[sl] = self._gather(rows[sl], cols[sl], z[sl])
-        self.counter.add(rows.shape[0])
-        return out
-
-    def _gather(self, rows, cols, z):
-        w = self.width
-        rcols = self._right_cols(cols, z)
-        in_range = (rcols >= 0) & (rcols <= w - 1)
-        safe = np.clip(rcols, 0, w - 1)
-
-        lpat = self._lwin[rows, cols]
-        rpat = self._rwin[rows, safe]
-        cross = np.einsum("spq,spq->s", lpat, rpat)
-
-        mean_r = self.mean_r[rows, safe]
-        sigma_r = self.sigma_r[rows, safe]
-        ok = self._ok_l[rows, cols] & self._ok_r[rows, safe] & in_range
-        cov = cross / self.area - self.mean_l[rows, cols] * mean_r
-        denom = np.where(ok, self.sigma_l[rows, cols] * sigma_r, 1.0)
-        return np.where(ok, np.clip(cov / denom, -1.0, 1.0), -1.0)
-
-    def dsi_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Full cost vectors for a sparse pixel set, shape (S, d_max+1).
-
-        Block row p of pixel (i, j) is padded row i+p at column j, so
-        vertically adjacent pixels share block-1 of their block rows.  Pixels
-        are taken in row-major order a chunk at a time; each distinct block
-        row of a chunk is correlated once at every disparity, and a pixel's
-        cross sums add its block rows in order.  Each entry is computed by
-        the same operations whatever else is requested with it.
-        """
-        rows = np.asarray(rows, dtype=np.intp).ravel()
-        cols = np.asarray(cols, dtype=np.intp).ravel()
-        if rows.shape != cols.shape:
-            raise ValueError("rows and cols must have identical shapes")
-        out = np.empty((rows.shape[0], self.d_max + 1))
-        order = np.lexsort((cols, rows))
-        for start in range(0, order.shape[0], _GATHER_CHUNK):
-            sel = order[start:start + _GATHER_CHUNK]
-            out[sel] = self._shared_rows(rows[sel], cols[sel])
-        self.counter.add(rows.shape[0] * (self.d_max + 1))
-        return out
-
-    def _shared_rows(self, rows, cols):
-        b = self.block
-        width = self._lp.shape[1]
-        keys = (rows[:, np.newaxis] + np.arange(b)) * width + cols[:, np.newaxis]
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        corr = self._block_row_corr(*np.divmod(uniq, width))
-        inverse = inverse.reshape(keys.shape)
-        cross = corr[inverse[:, 0]]
-        for p in range(1, b):
-            cross += corr[inverse[:, p]]
-        del corr  # before the statistics' temporaries
-
-        # The masking and the arithmetic of _gather, in place on cross.
-        at = (rows, cols + self._zstart)
-        ok = self._ok_l[rows, cols][:, np.newaxis] & self._ok_rz[at]
-        cross /= self.area
-        cross -= self.mean_l[rows, cols][:, np.newaxis] * self._mean_rz[at]
-        cross /= np.where(ok, self.sigma_l[rows, cols][:, np.newaxis] * self._sigma_rz[at], 1.0)
-        np.clip(cross, -1.0, 1.0, out=cross)
-        cross[~ok] = -1.0
-        return cross[:, ::-1] if self.sign == SIGN_MIDDLEBURY else cross
-
-    def _block_row_corr(self, r, c):
-        """1-D correlations of padded rows r at columns c, shape (U, d_max+1).
-
-        Index k is disparity d_max-k under the Middlebury sign and disparity
-        k under the paper sign.  The products run over (disparity, row)
-        planes so each one is a single contiguous pass.
-        """
-        nz = self.d_max + 1
-        lrow = np.ascontiguousarray(self._lrows[r, c].T)
-        seg = np.ascontiguousarray(self._rsegs[r, c + self._zstart].T)
-        corr = np.zeros((nz, r.shape[0]))
-        term = np.empty_like(corr)
-        for q in range(self.block):
-            np.multiply(seg[q:q + nz], lrow[q], out=term)
-            corr += term
-        del seg, term
-        return np.ascontiguousarray(corr.T)
+        return self.window(rows, cols, z, 1)[:, 0]
 
     def dsi_slice(self, i: int, j: int) -> DsiSlice:
         """Cost vector of one pixel across all candidate disparities."""

@@ -183,7 +183,7 @@ def test_criterion_5_gate_exactness():
         noise = rng.uniform(-0.4, 0.4, size=cost.shape)
         cost = np.clip(cost + noise, -1.0, 1.0)
 
-        refined_d, refined_c = refine_level(engine, disparity, cost, alpha)
+        refined_d, refined_c, _ = refine_level(engine, disparity, cost, alpha)
         keep = cost > alpha
         np.testing.assert_array_equal(refined_d[keep], disparity[keep])
         np.testing.assert_array_equal(refined_c[keep], cost[keep])

@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation
 
+import pyrstereo
+import pyrstereo.matcher as matcher
 from oracles import loop_full_search, naive_nn_double, naive_selective_median
 from pyrstereo import (
     ConfigError,
@@ -122,7 +125,7 @@ def test_refine_keeps_confident_pixels_bit_identical():
     left, right = shifted_pair(16, 24, 2, rng, cutoff=0.15)
     engine = CostEngine(left, right, block=3, d_max=5)
     disparity, cost = match_coarsest(engine)
-    refined_d, refined_c = refine_level(engine, disparity, cost, alpha=0.9)
+    refined_d, refined_c, _ = refine_level(engine, disparity, cost, alpha=0.9)
     keep = cost > 0.9
     np.testing.assert_array_equal(refined_d[keep], disparity[keep])
     np.testing.assert_array_equal(refined_c[keep], cost[keep])
@@ -134,7 +137,7 @@ def test_refine_noop_when_all_confident():
     engine = CostEngine(img, img, block=3, d_max=4)
     disparity = np.zeros((12, 18))
     cost = np.full((12, 18), 0.99)
-    refined_d, refined_c = refine_level(engine, disparity, cost, alpha=0.9)
+    refined_d, refined_c, _ = refine_level(engine, disparity, cost, alpha=0.9)
     np.testing.assert_array_equal(refined_d, disparity)
     np.testing.assert_array_equal(refined_c, cost)
     assert engine.counter.count == 0
@@ -152,7 +155,7 @@ def test_refine_repairs_bad_pixel_from_neighborhood():
     disparity[8, 16] = 0.0
     cost[8, 16] = 0.1
     cost[0, 0] = 0.1  # a corner pixel sums its clipped 2x2 neighborhood
-    refined_d, refined_c = refine_level(engine, disparity, cost, alpha=0.9)
+    refined_d, refined_c, _ = refine_level(engine, disparity, cost, alpha=0.9)
     assert refined_d[8, 16] == 4.0
     from oracles import naive_averaged_dsi
 
@@ -164,13 +167,94 @@ def test_refine_repairs_bad_pixel_from_neighborhood():
     assert abs(refined_c[0, 0] - expected.max() / members) <= 1e-9
 
 
+def _fallback_level():
+    """A level whose prior trusts about half the pixels, and its selection."""
+    rng = np.random.default_rng(31)
+    left, right = shifted_pair(40, 56, 4, rng, cutoff=0.15)
+    right = right + 0.05 * rng.standard_normal(right.shape)
+    d_hat = np.full(left.shape, 4.0)
+    c_hat = rng.uniform(0.5, 1.0, size=left.shape)
+    engine = CostEngine(left, right, block=5, d_max=10)
+    disparity, cost, stats = select_with_prior(engine, d_hat, c_hat, beta=0.75)
+    return left, right, engine, disparity, cost, stats
+
+
+def test_refine_with_handed_vectors_is_bit_identical():
+    left, right, engine, disparity, cost, stats = _fallback_level()
+    fi, fj, vectors = stats.vectors
+    assert vectors.shape == (stats.full_search_pixels, 11)
+    assert 0 < stats.trusted < disparity.size
+
+    before = engine.counter.count
+    got_d, got_c, reused = refine_level(engine, disparity, cost, 0.9, stats.vectors)
+    evals_with = engine.counter.count - before
+    fresh = CostEngine(left, right, block=5, d_max=10)
+    want_d, want_c, want_reused = refine_level(fresh, disparity, cost, 0.9)
+    np.testing.assert_array_equal(got_d, want_d)
+    np.testing.assert_array_equal(got_c, want_c)
+
+    # Reused: the handed vectors inside the 3x3-dilated low set, not counted.
+    needed = binary_dilation(cost <= 0.9, structure=np.ones((3, 3), dtype=bool))
+    assert want_reused == 0
+    assert reused == np.count_nonzero(needed[fi, fj]) > 0
+    assert fresh.counter.count - evals_with == reused * 11
+
+
+def test_pipeline_refine_reuse_is_exact(monkeypatch):
+    rng = np.random.default_rng(32)
+    left, right = shifted_pair(96, 128, 6, rng, cutoff=0.05)
+    right = right + 0.1 * rng.standard_normal(right.shape)
+    config = MatchConfig(d_max=24, levels=2, block=7)
+    got_d, got_c, got = run_pipeline(left, right, config)
+
+    recompute = matcher.refine_level
+    monkeypatch.setattr(matcher, "refine_level",
+                        lambda engine, d, c, alpha, vectors=None: recompute(engine, d, c, alpha))
+    want_d, want_c, want = run_pipeline(left, right, config)
+    np.testing.assert_array_equal(got_d, want_d)
+    np.testing.assert_array_equal(got_c, want_c)
+    assert got.levels[0].refine_reused == 0  # the coarsest level searches by planes
+    assert sum(lt.refine_reused for lt in got.levels) > 0
+    for a, b in zip(got.levels, want.levels):
+        assert b.refine_reused == 0
+        assert a.refine_reused <= a.full_search_pixels
+        assert b.refine_evals - a.refine_evals == a.refine_reused * (a.d_max + 1)
+        assert a.to_dict()["refine_reused"] == a.refine_reused
+    assert want.total_evals - got.total_evals == sum(
+        lt.refine_reused * (lt.d_max + 1) for lt in got.levels)
+
+
+def test_refine_peak_is_one_vector_store():
+    """Refine holds the needed cost vectors once, plus bounded scratch."""
+    rng = np.random.default_rng(30)
+    h, w, d_max = 200, 240, 32
+    engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=5, d_max=d_max)
+    disparity = np.zeros((h, w))
+    cost = np.zeros((h, w))  # every pixel is low, so every vector is needed
+    store = h * w * (d_max + 1) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        refine_level(engine, disparity, cost, alpha=0.9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # Summing all neighbors at once held four such stores.
+    assert peak < 2 * store
+
+
+def test_package_exports_matcher_api():
+    assert set(matcher.__all__) <= set(pyrstereo.__all__)
+    assert pyrstereo.SelectionStats is matcher.SelectionStats
+
+
 def test_refine_is_idempotent():
     rng = np.random.default_rng(6)
     left, right = shifted_pair(20, 28, 3, rng, cutoff=0.3)
     engine = CostEngine(left, right, block=3, d_max=6)
     disparity, cost = match_coarsest(engine)
-    once_d, once_c = refine_level(engine, disparity, cost, alpha=0.9)
-    twice_d, twice_c = refine_level(engine, once_d, once_c, alpha=0.9)
+    once_d, once_c, _ = refine_level(engine, disparity, cost, alpha=0.9)
+    twice_d, twice_c, _ = refine_level(engine, once_d, once_c, alpha=0.9)
     # Pixels whose stored cost did not cross alpha are reprocessed from the
     # same image content, so a second pass changes nothing.
     crossed = (once_c > 0.9) != (cost > 0.9)
@@ -306,11 +390,11 @@ def test_match_level_with_prior_composes_stages():
     c_hat = np.full((20, 30), -1.0)
 
     got_d, got_c, _ = select_with_prior(engine_a, d_hat, c_hat, beta)
-    got_d, got_c = refine_level(engine_a, got_d, got_c, alpha)
+    got_d, got_c, _ = refine_level(engine_a, got_d, got_c, alpha)
     got_d = selective_median(got_d, got_c, alpha)
 
     d0, c0 = match_coarsest(engine_b)
-    d1, c1 = refine_level(engine_b, d0, c0, alpha)
+    d1, c1, _ = refine_level(engine_b, d0, c0, alpha)
     expected_d = selective_median(d1, c1, alpha)
     np.testing.assert_array_equal(got_d, expected_d)
     np.testing.assert_allclose(got_c, c1, atol=1e-9)
@@ -374,7 +458,7 @@ def test_pipeline_k0_equals_full_search_plus_repairs():
 
     engine = CostEngine(left, right, block=3, d_max=6)
     d0, c0 = match_coarsest(engine)
-    d1, c1 = refine_level(engine, d0, c0, config.alpha)
+    d1, c1, _ = refine_level(engine, d0, c0, config.alpha)
     expected_d = selective_median(d1, c1, config.alpha)
     np.testing.assert_array_equal(got_d, expected_d)
     np.testing.assert_allclose(got_c, c1, atol=1e-12)

@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fsum_zncc, naive_dsi_vector
+from oracles import fsum_zncc, naive_cost, naive_dsi_vector
 from pyrstereo import (
     CostEngine,
     EvalCounter,
     MatchConfig,
     baseline_bm,
+    build_pyramid,
     dsi_entry,
     patch_stats,
     run_pipeline,
     shifted_pair,
     zncc,
 )
-from pyrstereo.zncc import _GATHER_CHUNK
+from pyrstereo.cli import EXIT_CONFIG, main
+from pyrstereo.zncc import _GATHER_CHUNK, _REACH
 
 
 def _random_images(rng, h=9, w=9):
@@ -187,6 +189,78 @@ def test_dsi_rows_matches_naive_vectors(request):
         np.testing.assert_allclose(got[k], expected, rtol=0, atol=1e-9)
 
 
+@st.composite
+def _window_requests(draw):
+    """A request as in _dsi_requests plus a window length and one start per
+    pixel, reaching up to _REACH disparities past [0, d_max] on both sides."""
+    left, right, block, d_max, sign, rows, cols = draw(_dsi_requests())
+    nz = draw(st.integers(1, d_max + 1 + 2 * _REACH))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z0 = rng.integers(-_REACH, d_max + _REACH - nz + 2, size=rows.shape[0])
+    return left, right, block, d_max, sign, rows, cols, z0, nz
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_requests())
+def test_window_matches_naive_costs(request):
+    left, right, block, d_max, sign, rows, cols, z0, nz = request
+    engine = CostEngine(left, right, block=block, d_max=d_max, sign=sign)
+    got = engine.window(rows, cols, z0, nz)
+    assert got.shape == (rows.shape[0], nz)
+    legal = 0
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        for m in range(nz):
+            z = z0[k] + m
+            legal += 0 <= z <= d_max
+            expected = naive_cost(left, right, i, j, z, block // 2, sign=sign)
+            assert abs(got[k, m] - expected) <= 1e-9
+    # Entries outside [0, d_max] follow the cost rule but are not counted.
+    assert engine.counter.count == legal
+
+
+def test_window_rejects_reach_beyond_padding():
+    rng = np.random.default_rng(20)
+    left, right = _random_images(rng, 6, 8)
+    engine = CostEngine(left, right, block=3, d_max=4)
+    for z0, nz in [(-_REACH - 1, 3), (4, 3 + _REACH), (0, 0)]:
+        with pytest.raises(ValueError):
+            engine.window(np.array([2]), np.array([3]), z0, nz)
+    assert engine.counter.count == 0
+
+
+@pytest.mark.parametrize("sign", ["middlebury", "paper"])
+def test_window_independent_of_request(sign):
+    # Three-candidate windows, more than one pass of the kernel, starts
+    # shared by vertical neighbors as an upsampled prior gives them.
+    rng = np.random.default_rng(21)
+    width = 64
+    height = _GATHER_CHUNK // 3 // width + 3
+    left, right = _random_images(rng, height, width)
+    engine = CostEngine(left, right, block=5, d_max=9, sign=sign)
+    starts = np.repeat(rng.integers(-1, 10, size=(height + 1) // 2), 2)[:height]
+    pixels = rng.permutation(height * width)
+    rows, cols = np.divmod(pixels, width)
+    z0 = starts[rows]
+    whole = engine.window(rows, cols, z0, 3)
+
+    subset = rng.choice(pixels.shape[0], size=300, replace=False)
+    np.testing.assert_array_equal(engine.window(rows[subset], cols[subset], z0[subset], 3),
+                                  whole[subset])
+    for k in subset[:5]:
+        np.testing.assert_array_equal(
+            engine.window(rows[k:k + 1], cols[k:k + 1], z0[k], 3)[0], whole[k])
+    # Window length changes no entry: the same bits as full vectors and
+    # single-disparity windows (at).
+    full = engine.dsi_rows(rows[subset], cols[subset])
+    for m in range(3):
+        z = z0[subset] + m
+        legal = (z >= 0) & (z <= 9)
+        np.testing.assert_array_equal(whole[subset][legal, m], full[legal, z[legal]])
+        np.testing.assert_array_equal(
+            engine.at(rows[subset][legal], cols[subset][legal], z[legal]),
+            whole[subset][legal, m])
+
+
 @pytest.mark.parametrize("sign", ["middlebury", "paper"])
 def test_dsi_rows_vector_independent_of_request(sign):
     # More pixels than one chunk of the row-shared kernel holds.
@@ -292,16 +366,24 @@ def test_engine_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_non_finite_input_is_rejected(bad, side):
+def test_non_finite_input_is_rejected(bad, side, monkeypatch, tmp_path):
     # One non-finite pixel would otherwise spread through the running sums
-    # and silently corrupt the maps around it.
+    # (and through every pyramid level) and silently corrupt the maps
+    # around it.
     rng = np.random.default_rng(4242)
     left, right = shifted_pair(128, 128, 7, rng, cutoff=0.02)
     pair = {"left": left, "right": right}
     pair[side][64, 64] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        build_pyramid(pair["left"], pair["right"], 32, levels=2)
     with pytest.raises(ValueError, match="non-finite"):
         CostEngine(pair["left"], pair["right"], block=11, d_max=32)
     with pytest.raises(ValueError, match="non-finite"):
         run_pipeline(pair["left"], pair["right"], MatchConfig(d_max=32, levels=2))
     with pytest.raises(ValueError, match="non-finite"):
         baseline_bm(pair["left"], pair["right"], 32, 11)
+    # Image files cannot hold NaN; a decoder that returned it is caught too.
+    monkeypatch.setattr("pyrstereo.cli.read_pnm", lambda path: pair[path])
+    for command in ("compute", "baseline"):
+        assert main([command, "left", "right", "--dmax", "32",
+                     "--out", str(tmp_path / command)]) == EXIT_CONFIG
