@@ -48,15 +48,7 @@ from .pyramid import (
     level_d_max,
 )
 from .synthetic import interior_mask, shifted_pair
-from .zncc import (
-    CostEngine,
-    DsiSlice,
-    EvalCounter,
-    PatchStats,
-    dsi_entry,
-    patch_stats,
-    zncc,
-)
+from .zncc import CostEngine, EvalCounter
 
 __version__ = "0.1.0"
 
@@ -67,7 +59,6 @@ __all__ = [
     "ConfigError",
     "CostEngine",
     "DecodeError",
-    "DsiSlice",
     "EvalCounter",
     "EvalReport",
     "GroundTruthDisparity",
@@ -75,7 +66,6 @@ __all__ = [
     "MalformedHeaderError",
     "MatchConfig",
     "MissingKeyError",
-    "PatchStats",
     "PipelineTrace",
     "PyramidLevel",
     "SelectionStats",
@@ -86,14 +76,12 @@ __all__ = [
     "baseline_bm",
     "build_pyramid",
     "compare",
-    "dsi_entry",
     "evaluate",
     "gaussian_downsample",
     "interior_mask",
     "level_block",
     "level_d_max",
     "match_coarsest",
-    "patch_stats",
     "read_calib",
     "read_pfm",
     "read_pnm",
@@ -105,5 +93,4 @@ __all__ = [
     "upsample_prior",
     "write_pfm",
     "write_pgm",
-    "zncc",
 ]

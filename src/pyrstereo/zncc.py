@@ -16,38 +16,29 @@ image for the requested disparity.
 :class:`CostEngine` evaluates these costs for a whole level.  It keeps a
 running count of every (pixel, disparity) entry it computes in a
 thread-safe :class:`EvalCounter`; the counts are the basis of all
-complexity accounting downstream.  It has two evaluation paths:
+complexity accounting downstream.  It has two evaluation paths, and both
+read one right image zero-padded by d_max+2 columns on each side, so the
+padding alone applies the out-of-range rule:
 
-- box-sum planes (``plane``, ``full_volume``): every pixel at one
-  disparity, O(1) per pixel per disparity; a full search can take them
-  one at a time and hold O(H*W) memory instead of the whole volume;
+- box-sum planes (``plane``): every pixel at one disparity, O(1) per
+  pixel per disparity; a full search can take them one at a time and
+  hold O(H*W) memory instead of the whole volume;
 - the window kernel (``window``): a sparse pixel set, each pixel at its
   own run of consecutive disparities; each distinct block row is
   correlated once across the run and shared by the vertically adjacent
-  pixels that need it.  Full vectors (``dsi_rows``) and single entries
-  (``at``) are windows of d_max+1 and of one disparity.
+  pixels that need it.  Full vectors (``dsi_rows``) are windows of
+  d_max+1 disparities.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter
 
-__all__ = [
-    "SIGN_MIDDLEBURY",
-    "SIGN_PAPER_PLUS",
-    "PatchStats",
-    "DsiSlice",
-    "EvalCounter",
-    "CostEngine",
-    "patch_stats",
-    "zncc",
-    "dsi_entry",
-]
+__all__ = ["SIGN_MIDDLEBURY", "SIGN_PAPER_PLUS", "EvalCounter", "CostEngine"]
 
 # Matching direction for rectified pairs: a left-image feature sits at a
 # smaller column in the right image, so the right center is (i, j - z).
@@ -61,22 +52,6 @@ _GATHER_CHUNK = 16384
 # How far a window may reach past [0, d_max] on either side: a
 # three-candidate window centred one step outside the range.
 _REACH = 2
-
-
-@dataclass(frozen=True)
-class PatchStats:
-    """Mean and RMS deviation of one matching block."""
-
-    mean: float
-    sigma: float
-
-
-@dataclass
-class DsiSlice:
-    """Costs of one pixel across candidate disparities."""
-
-    pixel: tuple[int, int]
-    costs: np.ndarray
 
 
 class EvalCounter:
@@ -93,49 +68,6 @@ class EvalCounter:
     @property
     def count(self) -> int:
         return self._count
-
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-
-
-def _clipped_patch(img: np.ndarray, i: int, j: int, half: int) -> np.ndarray:
-    """Full-size block around (i, j) under replicate padding."""
-    h, w = img.shape
-    if not (0 <= i < h and 0 <= j < w):
-        raise ValueError(f"center ({i}, {j}) outside {h}x{w} image")
-    rows = np.clip(np.arange(i - half, i + half + 1), 0, h - 1)
-    cols = np.clip(np.arange(j - half, j + half + 1), 0, w - 1)
-    return img[np.ix_(rows, cols)]
-
-
-def patch_stats(img: np.ndarray, center: tuple[int, int], half: int) -> PatchStats:
-    """Mean and RMS deviation of the block around ``center``."""
-    patch = _clipped_patch(np.asarray(img, dtype=np.float64), center[0], center[1], half)
-    mean = float(patch.mean())
-    dev = patch - mean
-    return PatchStats(mean=mean, sigma=float(np.sqrt((dev * dev).mean())))
-
-
-def zncc(left: np.ndarray, right: np.ndarray, center_l: tuple[int, int],
-         center_r: tuple[int, int], half: int, sigma_eps: float = 1e-6) -> float:
-    """Correlate the blocks around two pixel centers.
-
-    Returns a value in [-1, 1]; either block being degenerate (RMS
-    deviation below ``sigma_eps``) yields -1.  Centers outside their image
-    raise ValueError.
-    """
-    lp = _clipped_patch(np.asarray(left, dtype=np.float64), center_l[0], center_l[1], half)
-    rp = _clipped_patch(np.asarray(right, dtype=np.float64), center_r[0], center_r[1], half)
-    m = lp.size
-    ld = lp - lp.mean()
-    rd = rp - rp.mean()
-    lss = float((ld * ld).sum())
-    rss = float((rd * rd).sum())
-    if np.sqrt(lss / m) < sigma_eps or np.sqrt(rss / m) < sigma_eps:
-        return -1.0
-    value = float((ld * rd).sum()) / np.sqrt(lss * rss)
-    return float(min(1.0, max(-1.0, value)))
 
 
 def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,10 +91,14 @@ class CostEngine:
     """Disparity-cost evaluator for one pyramid level.
 
     Block means and deviations are precomputed once per image with box
-    filters under replicate borders, so the two evaluation paths (box-sum
-    planes and the row-shared window kernel) share the same statistics and
-    degeneracy decisions; they differ only in the order in which the cross
-    sums are added.
+    filters under replicate borders.  The right image and its statistics
+    are then zero-padded once by d_max+2 columns on each side, and both
+    evaluation paths (box-sum planes and the row-shared window kernel) read
+    column slices of these padded arrays: the padded columns are
+    degenerate, so a right block outside the image costs -1 on either path
+    without a separate check.  The paths share statistics and degeneracy
+    decisions and differ only in the order in which the cross sums are
+    added.
     """
 
     def __init__(self, left: np.ndarray, right: np.ndarray, block: int, d_max: int,
@@ -193,18 +129,14 @@ class CostEngine:
         # The right image and its statistics carry d_max+_REACH zero columns
         # on both sides, so a window at any legal disparity reads in bounds;
         # the added columns are degenerate, which applies the out-of-range
-        # rule.  The unpadded arrays are views into the padded ones.
+        # rule.
         pad = self._pad = self.d_max + _REACH
         side = ((0, 0), (pad, pad))
-        inner = np.s_[:, pad:pad + self.width]
         mean_r, sigma_r = self._stats(right)
         self._rpz = np.pad(np.pad(right, self.half, mode="edge"), side)
-        self._rp = self._rpz[:, pad:pad + self.width + 2 * self.half]
         self._mean_rz = np.pad(mean_r, side)
         self._sigma_rz = np.pad(sigma_r, side)
         self._ok_rz = np.pad(sigma_r >= self.sigma_eps, side)
-        self.mean_r, self.sigma_r = self._mean_rz[inner], self._sigma_rz[inner]
-        self._ok_r = self._ok_rz[inner]
 
     def _stats(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = uniform_filter(img, size=self.block, mode="nearest")
@@ -212,54 +144,34 @@ class CostEngine:
         var = np.maximum(mean_sq - mean * mean, 0.0)
         return mean, np.sqrt(var)
 
-    def _right_cols(self, j: np.ndarray | int, z: np.ndarray | int):
-        if self.sign == SIGN_MIDDLEBURY:
-            return j - z
-        return j + z
+    def _right_start(self, z0, nz: int = 1):
+        """Padded right column of column 0's window at z0..z0+nz-1.
 
-    def _check_z(self, z: int) -> int:
-        z = int(z)
-        if not 0 <= z <= self.d_max:
-            raise ValueError(f"disparity {z} outside [0, {self.d_max}]")
-        return z
+        Index k of the window is disparity z0+nz-1-k under the Middlebury
+        sign and z0+k under the paper sign.
+        """
+        if self.sign == SIGN_MIDDLEBURY:
+            return self._pad - z0 - (nz - 1)
+        return self._pad + z0
 
     def plane(self, z: int) -> np.ndarray:
         """Costs of every pixel at one disparity, via box sums."""
-        z = self._check_z(z)
+        z = int(z)
+        if not 0 <= z <= self.d_max:
+            raise ValueError(f"disparity {z} outside [0, {self.d_max}]")
         h, w, b = self.height, self.width, self.block
-        lp, rp = self._lp, self._rp
+        s = self._right_start(z)
+        right = np.s_[:, s:s + w]
 
         # Cross sums over matching blocks: multiply the padded images at
-        # the z-column offset, then take valid-mode box sums. Columns that
-        # never feed an in-range center are left at zero.
-        prod = np.zeros_like(lp)
-        if z == 0:
-            np.multiply(lp, rp, out=prod)
-        elif self.sign == SIGN_MIDDLEBURY:
-            np.multiply(lp[:, z:], rp[:, :-z], out=prod[:, z:])
-        else:
-            np.multiply(lp[:, :-z], rp[:, z:], out=prod[:, :-z])
-        cross = _valid_box_sum(prod, b)
-
-        cols = self._right_cols(np.arange(w), z)
-        in_range = (cols >= 0) & (cols <= w - 1)
-        safe = np.clip(cols, 0, w - 1)
-        mean_r = self.mean_r[:, safe]
-        sigma_r = self.sigma_r[:, safe]
-        ok = self._ok_l & self._ok_r[:, safe] & in_range[np.newaxis, :]
-
-        cov = cross / self.area - self.mean_l * mean_r
-        denom = np.where(ok, self.sigma_l * sigma_r, 1.0)
+        # the z-column offset, then take valid-mode box sums.
+        cross = _valid_box_sum(self._lp * self._rpz[:, s:s + w + b - 1], b)
+        ok = self._ok_l & self._ok_rz[right]
+        cov = cross / self.area - self.mean_l * self._mean_rz[right]
+        denom = np.where(ok, self.sigma_l * self._sigma_rz[right], 1.0)
         cost = np.where(ok, np.clip(cov / denom, -1.0, 1.0), -1.0)
         self.counter.add(h * w)
         return cost
-
-    def full_volume(self) -> np.ndarray:
-        """All planes stacked as (d_max+1, H, W)."""
-        volume = np.empty((self.d_max + 1, self.height, self.width))
-        for z in range(self.d_max + 1):
-            volume[z] = self.plane(z)
-        return volume
 
     def window(self, rows: np.ndarray, cols: np.ndarray, z0, nz: int) -> np.ndarray:
         """Costs of each pixel at disparities z0..z0+nz-1, shape (S, nz).
@@ -320,12 +232,8 @@ class CostEngine:
         owner = np.repeat(np.arange(rows.shape[0]), new)
         q = rows[owner] + np.arange(ends[-1]) - first[owner]
 
-        # Right windows start at column s: index k of a window is disparity
-        # z0+nz-1-k under the Middlebury sign and z0+k under the paper sign.
-        if self.sign == SIGN_MIDDLEBURY:
-            s = cols - z0 - (nz - 1) + self._pad
-        else:
-            s = cols + z0 + self._pad
+        # Right windows start at padded column s.
+        s = cols + self._right_start(z0, nz)
 
         # Correlate each distinct block row over the window: index k against
         # right segment entries k..k+b-1.  The products run over (k, row)
@@ -360,26 +268,6 @@ class CostEngine:
         """Full cost vectors for a sparse pixel set, shape (S, d_max+1)."""
         return self.window(rows, cols, 0, self.d_max + 1)
 
-    def at(self, rows: np.ndarray, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Costs of arbitrary (pixel, disparity) triples.
-
-        All three arrays share a shape; each entry counts as one
-        evaluation, including out-of-range ones that return -1.
-        """
-        rows = np.asarray(rows, dtype=np.intp).ravel()
-        cols = np.asarray(cols, dtype=np.intp).ravel()
-        z = np.asarray(z, dtype=np.intp).ravel()
-        if not (rows.shape == cols.shape == z.shape):
-            raise ValueError("rows, cols and z must have identical shapes")
-        if z.size and (z.min() < 0 or z.max() > self.d_max):
-            raise ValueError(f"disparities outside [0, {self.d_max}]")
-        return self.window(rows, cols, z, 1)[:, 0]
-
-    def dsi_slice(self, i: int, j: int) -> DsiSlice:
-        """Cost vector of one pixel across all candidate disparities."""
-        costs = self.dsi_rows(np.array([i]), np.array([j]))[0]
-        return DsiSlice(pixel=(int(i), int(j)), costs=costs)
-
 
 def _valid_box_sum(arr: np.ndarray, size: int) -> np.ndarray:
     """Box sums of every fully contained size x size window."""
@@ -391,13 +279,3 @@ def _valid_box_sum(arr: np.ndarray, size: int) -> np.ndarray:
         - integral[size:, :-size]
         + integral[:-size, :-size]
     )
-
-
-def dsi_entry(engine: CostEngine, i: int, j: int, z: int) -> float:
-    """Cost of one pixel at one candidate disparity.
-
-    Raises ValueError when z is outside [0, d_max]; a right-block center
-    that leaves the image returns the floor cost -1 instead.
-    """
-    z = engine._check_z(z)
-    return float(engine.at(np.array([i]), np.array([j]), np.array([z]))[0])

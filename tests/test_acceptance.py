@@ -29,7 +29,6 @@ from pyrstereo import (
     shifted_pair,
     write_pfm,
     write_pgm,
-    zncc,
 )
 from pyrstereo.cli import main as cli_main
 
@@ -104,26 +103,34 @@ def test_criterion_2_zncc_property_suite():
     for _ in range(1000):
         size = int(rng.integers(5, 12))
         half = int(rng.integers(1, 4))
+        block = 2 * half + 1
         img_a = rng.random((size, size))
         img_b = rng.random((size, size))
         ca = tuple(rng.integers(0, size, size=2))
         cb = tuple(rng.integers(0, size, size=2))
 
-        self_corr = zncc(img_a, img_a, ca, ca, half)
-        assert abs(self_corr - 1.0) <= 1e-9
+        def cost_at_ca(left, right):
+            return CostEngine(left, right, block, 0).plane(0)[ca]
 
-        ab = zncc(img_a, img_b, ca, cb, half)
-        ba = zncc(img_b, img_a, cb, ca, half)
+        assert abs(cost_at_ca(img_a, img_a) - 1.0) <= 1e-9
+
+        # Symmetry on ca's row: img_a's block at column ca against img_b's
+        # at column cb, then the swapped pair under the other sign.
+        row, ja, jb = ca[0], ca[1], cb[1]
+        z = abs(int(ja) - int(jb))
+        signs = ("middlebury", "paper") if ja >= jb else ("paper", "middlebury")
+        ab = CostEngine(img_a, img_b, block, z, sign=signs[0]).window([row], [ja], z, 1)[0, 0]
+        ba = CostEngine(img_b, img_a, block, z, sign=signs[1]).window([row], [jb], z, 1)[0, 0]
         assert abs(ab - ba) <= 1e-12
         assert -1.0 <= ab <= 1.0
 
         gain = float(rng.uniform(0.1, 10.0))
         offset = float(rng.uniform(-5.0, 5.0))
-        assert abs(zncc(img_a, gain * img_a + offset, ca, ca, half) - 1.0) <= 1e-6
-        assert abs(zncc(img_a, -gain * img_a + offset, ca, ca, half) + 1.0) <= 1e-6
+        assert abs(cost_at_ca(img_a, gain * img_a + offset) - 1.0) <= 1e-6
+        assert abs(cost_at_ca(img_a, -gain * img_a + offset) + 1.0) <= 1e-6
 
         flat = np.full((size, size), float(rng.uniform(0.0, 1.0)))
-        assert zncc(flat, img_b, ca, cb, half) == -1.0
+        assert cost_at_ca(flat, img_b) == -1.0
         checked += 1
     assert checked >= 1000
     _report(f"2 ZNCC property suite ({checked} patches): PASS")

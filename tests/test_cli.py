@@ -117,6 +117,16 @@ def test_compute_validation_exit_codes(pair, tmp_path):
                  "--out", out]) == EXIT_DECODE
 
 
+def test_pair_of_different_sizes_exits_config(pair, tmp_path, capsys):
+    left, _ = pair
+    small = tmp_path / "small.pgm"
+    write_pgm(np.random.default_rng(23).random((48, 60)), small)
+    for command in ("compute", "baseline"):
+        assert main([command, str(left), str(small), "--dmax", "8",
+                     "--out", str(tmp_path / command)]) == EXIT_CONFIG
+        assert "shapes differ" in capsys.readouterr().err
+
+
 def test_baseline_command_counts(pair, tmp_path):
     left, right = pair
     out = tmp_path / "base"

@@ -1,7 +1,11 @@
 """PGM/PPM, PFM and calib codec tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pyrstereo import (
     DecodeError,
@@ -197,3 +201,44 @@ def test_calib_missing_ndisp(tmp_path):
     path.write_text("width=100\nheight=100\n")
     with pytest.raises(MissingKeyError):
         read_calib(path)
+
+
+@st.composite
+def _short_files(draw):
+    """A P2/P5/P6/Pf header declaring up to 2^31 pixels per side, followed
+    by fewer samples than it declares."""
+    magic = draw(st.sampled_from([b"P2", b"P5", b"P6", b"Pf"]))
+    width = draw(st.integers(1, 2**31))
+    height = draw(st.integers(1, 2**31))
+    if magic == b"Pf":
+        third, sample_bytes = draw(st.sampled_from([b"-1.0", b"1.0"])), 4
+    else:
+        maxval = draw(st.sampled_from([1, 255, 256, 65535]))
+        third, sample_bytes = str(maxval).encode(), (2 if maxval > 255 else 1)
+        sample_bytes *= 3 if magic == b"P6" else 1
+    needed = width * height * sample_bytes
+    short = draw(st.integers(0, min(needed - 1, 256)))
+    if magic == b"P2":
+        payload = b"0 " * min(short, width * height - 1)
+    else:
+        payload = draw(st.binary(min_size=short, max_size=short))
+    return b"%s\n%d %d\n%s\n" % (magic, width, height, third) + payload
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_short_files())
+def test_declared_size_never_drives_allocation(tmp_path, data):
+    # A header's dimensions are only a claim; a short payload must be
+    # rejected before anything of the declared size is allocated.
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(data)
+    reader = read_pfm if data.startswith(b"Pf") else read_pnm
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError):
+            reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

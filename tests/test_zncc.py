@@ -14,11 +14,8 @@ from pyrstereo import (
     MatchConfig,
     baseline_bm,
     build_pyramid,
-    dsi_entry,
-    patch_stats,
     run_pipeline,
     shifted_pair,
-    zncc,
 )
 from pyrstereo.cli import EXIT_CONFIG, main
 from pyrstereo.zncc import _GATHER_CHUNK, _REACH
@@ -33,18 +30,23 @@ def test_self_correlation_is_one():
     for _ in range(50):
         img = rng.random((9, 9))
         i, j = rng.integers(2, 7, size=2)
-        assert abs(zncc(img, img, (i, j), (i, j), 2) - 1.0) <= 1e-9
+        assert abs(CostEngine(img, img, block=5, d_max=0).plane(0)[i, j] - 1.0) <= 1e-9
 
 
 def test_symmetry():
+    # Swapping the images swaps the sign convention: the left block at
+    # (i, ja) against the right one at (i, jb) is the cost of the swapped
+    # pair at (i, jb) with the other sign.
     rng = np.random.default_rng(1)
     for _ in range(50):
         left, right = _random_images(rng)
-        ci = tuple(rng.integers(0, 9, size=2))
-        cj = tuple(rng.integers(0, 9, size=2))
-        a = zncc(left, right, ci, cj, 2)
-        b = zncc(right, left, cj, ci, 2)
-        assert abs(a - b) <= 1e-12
+        i = int(rng.integers(0, 9))
+        ja, jb = (int(c) for c in rng.integers(0, 9, size=2))
+        z = abs(ja - jb)
+        signs = ("middlebury", "paper") if ja >= jb else ("paper", "middlebury")
+        a = CostEngine(left, right, block=5, d_max=z, sign=signs[0]).window([i], [ja], z, 1)
+        b = CostEngine(right, left, block=5, d_max=z, sign=signs[1]).window([i], [jb], z, 1)
+        assert abs(a[0, 0] - b[0, 0]) <= 1e-12
 
 
 def test_affine_invariance():
@@ -54,8 +56,8 @@ def test_affine_invariance():
         gain = float(rng.uniform(0.2, 5.0))
         offset = float(rng.uniform(-2.0, 2.0))
         center = tuple(rng.integers(3, 8, size=2))
-        up = zncc(img, gain * img + offset, center, center, 3)
-        down = zncc(img, -gain * img + offset, center, center, 3)
+        up = CostEngine(img, gain * img + offset, block=7, d_max=0).plane(0)[center]
+        down = CostEngine(img, -gain * img + offset, block=7, d_max=0).plane(0)[center]
         assert abs(up - 1.0) <= 1e-6
         assert abs(down + 1.0) <= 1e-6
 
@@ -64,64 +66,45 @@ def test_degenerate_patch_rule():
     rng = np.random.default_rng(3)
     flat = np.full((7, 7), 0.5)
     textured = rng.random((7, 7))
-    assert zncc(flat, textured, (3, 3), (3, 3), 2) == -1.0
-    assert zncc(textured, flat, (3, 3), (3, 3), 2) == -1.0
+    assert CostEngine(flat, textured, block=5, d_max=0).plane(0)[3, 3] == -1.0
+    assert CostEngine(textured, flat, block=5, d_max=0).plane(0)[3, 3] == -1.0
     # Near-flat below the epsilon scale is degenerate too.
     tiny = 0.5 + 1e-9 * rng.random((7, 7))
-    assert zncc(tiny, textured, (3, 3), (3, 3), 2) == -1.0
+    assert CostEngine(tiny, textured, block=5, d_max=0).plane(0)[3, 3] == -1.0
 
 
 def test_specific_patches_match_fsum_oracle():
     rng = np.random.default_rng(4)
     for _ in range(30):
         left, right = _random_images(rng, 5, 5)
-        value = zncc(left, right, (2, 2), (2, 2), 1)
+        value = CostEngine(left, right, block=3, d_max=0).plane(0)[2, 2]
         expected = fsum_zncc(left[1:4, 1:4], right[1:4, 1:4])
         assert abs(value - expected) <= 1e-12
-
-
-def test_center_out_of_bounds_raises():
-    img = np.zeros((5, 5))
-    with pytest.raises(ValueError):
-        zncc(img, img, (5, 0), (0, 0), 1)
-
-
-def test_patch_stats():
-    rng = np.random.default_rng(5)
-    img = rng.random((8, 8))
-    stats = patch_stats(img, (4, 4), 2)
-    patch = img[2:7, 2:7]
-    assert abs(stats.mean - patch.mean()) <= 1e-12
-    assert abs(stats.sigma - patch.std()) <= 1e-12
-    flat = patch_stats(np.full((8, 8), 0.3), (4, 4), 2)
-    assert flat.sigma == 0.0
 
 
 def test_dsi_entry_identity_pair():
     rng = np.random.default_rng(6)
     img = rng.random((10, 12))
     engine = CostEngine(img, img, block=3, d_max=4)
-    for i in range(1, 9):
-        for j in range(1, 11):
-            assert abs(dsi_entry(engine, i, j, 0) - 1.0) <= 1e-9
+    rows, cols = np.mgrid[1:9, 1:11]
+    np.testing.assert_allclose(engine.window(rows, cols, 0, 1), 1.0, rtol=0, atol=1e-9)
 
 
 def test_dsi_entry_constant_shift():
     rng = np.random.default_rng(7)
     left, right = shifted_pair(12, 24, 3, rng, cutoff=0.2)
     engine = CostEngine(left, right, block=3, d_max=6)
-    for i in range(2, 10):
-        for j in range(6, 20):
-            assert abs(dsi_entry(engine, i, j, 3) - 1.0) <= 1e-9
+    rows, cols = np.mgrid[2:10, 6:20]
+    np.testing.assert_allclose(engine.window(rows, cols, 3, 1), 1.0, rtol=0, atol=1e-9)
 
 
 def test_dsi_entry_out_of_range_column():
     rng = np.random.default_rng(8)
     left, right = _random_images(rng, 8, 8)
     engine = CostEngine(left, right, block=3, d_max=6)
-    assert dsi_entry(engine, 4, 2, 5) == -1.0  # right center column 2-5 < 0
+    assert engine.window([4], [2], 5, 1)[0, 0] == -1.0  # right center column 2-5 < 0
     with pytest.raises(ValueError):
-        dsi_entry(engine, 4, 2, 7)  # beyond d_max
+        engine.plane(7)  # beyond d_max
 
 
 def test_paper_sign_convention():
@@ -130,9 +113,8 @@ def test_paper_sign_convention():
     # mirrored pair where left[i, j] == right[i, j + shift].
     right, left = shifted_pair(12, 24, 3, rng, cutoff=0.2)
     engine = CostEngine(left, right, block=3, d_max=6, sign="paper")
-    for i in range(2, 10):
-        for j in range(4, 18):
-            assert abs(dsi_entry(engine, i, j, 3) - 1.0) <= 1e-9
+    rows, cols = np.mgrid[2:10, 4:18]
+    np.testing.assert_allclose(engine.window(rows, cols, 3, 1), 1.0, rtol=0, atol=1e-9)
 
 
 def test_plane_and_gather_match_naive_dsi():
@@ -250,14 +232,14 @@ def test_window_independent_of_request(sign):
         np.testing.assert_array_equal(
             engine.window(rows[k:k + 1], cols[k:k + 1], z0[k], 3)[0], whole[k])
     # Window length changes no entry: the same bits as full vectors and
-    # single-disparity windows (at).
+    # single-disparity windows.
     full = engine.dsi_rows(rows[subset], cols[subset])
     for m in range(3):
         z = z0[subset] + m
         legal = (z >= 0) & (z <= 9)
         np.testing.assert_array_equal(whole[subset][legal, m], full[legal, z[legal]])
         np.testing.assert_array_equal(
-            engine.at(rows[subset][legal], cols[subset][legal], z[legal]),
+            engine.window(rows[subset][legal], cols[subset][legal], z[legal], 1)[:, 0],
             whole[subset][legal, m])
 
 
@@ -287,7 +269,7 @@ def test_costs_stay_in_range():
     rng = np.random.default_rng(11)
     left, right = _random_images(rng, 16, 16)
     engine = CostEngine(left, right, block=5, d_max=8)
-    volume = engine.full_volume()
+    volume = np.stack([engine.plane(z) for z in range(9)])
     assert volume.min() >= -1.0
     assert volume.max() <= 1.0
 
@@ -299,11 +281,11 @@ def test_counter_counts_every_entry():
     engine = CostEngine(left, right, block=3, d_max=4, counter=counter)
     engine.plane(0)
     assert counter.count == 64
-    engine.at(np.array([1, 2, 3]), np.array([1, 2, 3]), np.array([0, 1, 2]))
+    engine.window(np.array([1, 2, 3]), np.array([1, 2, 3]), np.array([0, 1, 2]), 1)
     assert counter.count == 64 + 3
     engine.dsi_rows(np.array([1]), np.array([2]))
     assert counter.count == 64 + 3 + 5
-    dsi_entry(engine, 0, 0, 0)
+    engine.window(np.array([0]), np.array([0]), 0, 1)
     assert counter.count == 64 + 3 + 5 + 1
 
 
@@ -320,16 +302,6 @@ def test_counter_thread_safety():
     for t in threads:
         t.join()
     assert counter.count == 80000
-
-
-def test_parallel_volume_is_exact_and_counted():
-    rng = np.random.default_rng(18)
-    left, right = _random_images(rng, 12, 14)
-    engine = CostEngine(left, right, block=3, d_max=6)
-    volume = engine.full_volume()
-    assert engine.counter.count == 12 * 14 * 7
-    for z in range(7):
-        np.testing.assert_array_equal(volume[z], engine.plane(z))
 
 
 def test_identical_neighbor_vectors_keep_argmax():
@@ -362,6 +334,8 @@ def test_engine_validation():
     for shape in [(6, 6, 3), (6,)]:
         with pytest.raises(ValueError, match="expected 2-D grayscale arrays"):
             CostEngine(np.zeros(shape), np.zeros(shape), block=3, d_max=4)
+        with pytest.raises(ValueError, match="expected 2-D grayscale arrays"):
+            run_pipeline(np.zeros(shape), np.zeros(shape), MatchConfig(d_max=4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
