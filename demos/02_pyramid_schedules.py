@@ -29,7 +29,7 @@ print("constant image stays constant:",
 left, right = shifted_pair(180, 240, 9, rng)
 pyramid = build_pyramid(left, right, d_max=64, levels=3, base_block=11)
 print("\nlevel   size        d_max  block")
-for level in pyramid.levels:
+for level in pyramid:
     h, w = level.shape
     print(f"  {level.index}    {h:4d}x{w:<4d}   {level.d_max:3d}    {level.block:3d}")
 

@@ -10,7 +10,7 @@ round out the package.
 """
 
 from .baseline import baseline_bm
-from .evaluation import BAD_THRESHOLDS, ComparisonSummary, EvalReport, compare, evaluate
+from .evaluation import BAD_THRESHOLDS, EvalReport, evaluate
 from .formats import (
     CalibInfo,
     DecodeError,
@@ -40,7 +40,6 @@ from .matcher import (
 )
 from .pyramid import (
     PyramidLevel,
-    StereoPyramid,
     auto_levels,
     build_pyramid,
     gaussian_downsample,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BAD_THRESHOLDS",
     "CalibInfo",
-    "ComparisonSummary",
     "ConfigError",
     "CostEngine",
     "DecodeError",
@@ -69,13 +67,11 @@ __all__ = [
     "PipelineTrace",
     "PyramidLevel",
     "SelectionStats",
-    "StereoPyramid",
     "TruncatedPayloadError",
     "UnsupportedMaxvalError",
     "auto_levels",
     "baseline_bm",
     "build_pyramid",
-    "compare",
     "evaluate",
     "gaussian_downsample",
     "interior_mask",

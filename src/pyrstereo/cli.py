@@ -175,7 +175,6 @@ def cmd_compute(args) -> int:
             "block": config.block,
             "alpha": config.alpha,
             "beta": config.beta,
-            "sigma_eps": config.sigma_eps,
             "sign": config.sign,
         },
         outputs={**paths, "trace_json": trace_stem + ".json"},

@@ -10,13 +10,13 @@ against full-resolution-unit references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .formats import GroundTruthDisparity
 
-__all__ = ["BAD_THRESHOLDS", "EvalReport", "ComparisonSummary", "evaluate", "compare"]
+__all__ = ["BAD_THRESHOLDS", "EvalReport", "evaluate"]
 
 BAD_THRESHOLDS = (1.0, 2.0, 4.0)
 
@@ -63,17 +63,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ComparisonSummary:
-    """Metric deltas (ours minus reference method) and the effort ratio."""
-
-    deltas: dict = field(default_factory=dict)
-    eval_ratio: float | None = None
-
-    def to_dict(self) -> dict:
-        return {"deltas": dict(self.deltas), "eval_ratio": self.eval_ratio}
-
-
 def evaluate(disparity: np.ndarray, gt: GroundTruthDisparity,
              scale: float = 1.0) -> EvalReport:
     """Score a disparity map against reference disparities.
@@ -108,16 +97,3 @@ def evaluate(disparity: np.ndarray, gt: GroundTruthDisparity,
         output_invalid=int(output_invalid.sum()),
     )
 
-
-def compare(ours: EvalReport, reference: EvalReport) -> ComparisonSummary:
-    """Per-metric deltas plus the ratio of total evaluation counts."""
-    deltas = {
-        "bad_1": ours.bad_1 - reference.bad_1,
-        "bad_2": ours.bad_2 - reference.bad_2,
-        "bad_4": ours.bad_4 - reference.bad_4,
-        "avg_abs_err": ours.avg_abs_err - reference.avg_abs_err,
-    }
-    ratio = None
-    if ours.total_evals is not None and reference.total_evals:
-        ratio = ours.total_evals / reference.total_evals
-    return ComparisonSummary(deltas=deltas, eval_ratio=ratio)

@@ -67,7 +67,6 @@ class MatchConfig:
     block: int = 11
     alpha: float = 0.9
     beta: float = 0.9
-    sigma_eps: float = 1e-6
     sign: str = SIGN_MIDDLEBURY
 
     def __post_init__(self) -> None:
@@ -81,8 +80,6 @@ class MatchConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.sigma_eps <= 0.0:
-            raise ConfigError(f"sigma_eps must be positive, got {self.sigma_eps}")
         if self.sign not in (SIGN_MIDDLEBURY, SIGN_PAPER_PLUS):
             raise ConfigError(f"unknown sign convention {self.sign!r}")
 
@@ -423,10 +420,9 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
     alpha = config.alpha
 
     disparity = cost = None
-    for level in reversed(pyramid.levels):
+    for level in reversed(pyramid):
         engine = CostEngine(level.left, level.right, level.block, level.d_max,
-                            sigma_eps=config.sigma_eps, sign=config.sign,
-                            counter=counter)
+                            sign=config.sign, counter=counter)
         ltrace = LevelTrace(level=level.index, height=level.shape[0],
                             width=level.shape[1], d_max=level.d_max,
                             block=level.block)

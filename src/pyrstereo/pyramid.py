@@ -20,7 +20,6 @@ from .zncc import check_pair
 __all__ = [
     "BINOMIAL_KERNEL",
     "PyramidLevel",
-    "StereoPyramid",
     "binomial_smooth",
     "gaussian_downsample",
     "level_d_max",
@@ -45,23 +44,6 @@ class PyramidLevel:
     @property
     def shape(self) -> tuple[int, int]:
         return self.left.shape
-
-
-@dataclass(frozen=True)
-class StereoPyramid:
-    """Ordered levels from full resolution (0) to the coarsest (K)."""
-
-    levels: tuple[PyramidLevel, ...]
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __getitem__(self, k: int) -> PyramidLevel:
-        return self.levels[k]
-
-    @property
-    def coarsest(self) -> PyramidLevel:
-        return self.levels[-1]
 
 
 def binomial_smooth(img: np.ndarray) -> np.ndarray:
@@ -115,8 +97,9 @@ def auto_levels(width: int, height: int, d_max: int, base_block: int) -> int:
 
 
 def build_pyramid(left: np.ndarray, right: np.ndarray, d_max: int,
-                  levels: int | None = None, base_block: int = 11) -> StereoPyramid:
-    """Build the stereo pyramid for a rectified pair.
+                  levels: int | None = None, base_block: int = 11,
+                  ) -> tuple[PyramidLevel, ...]:
+    """The levels of a rectified pair's pyramid, full resolution (0) first.
 
     ``levels`` is the number of halvings K (level 0 keeps the originals
     untouched); None selects K with :func:`auto_levels`.  An explicit K is
@@ -158,4 +141,4 @@ def build_pyramid(left: np.ndarray, right: np.ndarray, d_max: int,
         cur_r = gaussian_downsample(cur_r)
         built.append(PyramidLevel(k, cur_l, cur_r, level_d_max(d_max, k),
                                   level_block(base_block, k)))
-    return StereoPyramid(levels=tuple(built))
+    return tuple(built)

@@ -9,7 +9,7 @@ over an odd (2n+1)x(2n+1) block of m pixels, where sigma is the root mean
 squared deviation of the block.  The value lives in [-1, 1] and is clamped
 there after roundoff.  Blocks always have full size thanks to replicate
 padding; three situations yield the floor cost of -1 instead of a
-correlation: a degenerate left block (sigma below ``sigma_eps``), a
+correlation: a degenerate left block (sigma below ``SIGMA_EPS``), a
 degenerate right block, or a right-block center that falls outside the
 image for the requested disparity.
 
@@ -20,14 +20,24 @@ complexity accounting downstream.  It has two evaluation paths, and both
 read one right image zero-padded by d_max+2 columns on each side, so the
 padding alone applies the out-of-range rule:
 
-- box-sum planes (``plane``): every pixel at one disparity, O(1) per
-  pixel per disparity; a full search can take them one at a time and
-  hold O(H*W) memory instead of the whole volume;
+- planes (``plane``): every pixel at one disparity, a band of rows at a
+  time; a full search can take them one at a time and hold O(H*W)
+  memory instead of the whole volume;
 - the window kernel (``window``): a sparse pixel set, each pixel at its
   own run of consecutive disparities; each distinct block row is
   correlated once across the run and shared by the vertically adjacent
   pixels that need it.  Full vectors (``dsi_rows``) are windows of
   d_max+1 disparities.
+
+There is one summation order: a block's products are added along each
+block row in column order, then the block rows in row order, and one
+routine turns the sums into costs.  ``plane(z)[i, j]``,
+``window([i], [j], z, 1)`` and the ``dsi_rows`` entry are therefore the
+same bits.  Both images are first centred by one shared offset, the
+mean of their two means, which ZNCC ignores; the sums then keep the
+block deviations of bright, low-contrast images instead of cancelling
+them, and no sum spans more than one block, so roundoff does not grow
+with image size.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter
 
-__all__ = ["SIGN_MIDDLEBURY", "SIGN_PAPER_PLUS", "EvalCounter", "CostEngine"]
+__all__ = ["SIGMA_EPS", "SIGN_MIDDLEBURY", "SIGN_PAPER_PLUS", "EvalCounter", "CostEngine"]
 
 # Matching direction for rectified pairs: a left-image feature sits at a
 # smaller column in the right image, so the right center is (i, j - z).
@@ -46,12 +56,18 @@ SIGN_MIDDLEBURY = "middlebury"
 # Literal (i, j + z) form, selectable for pairs rectified the other way.
 SIGN_PAPER_PLUS = "paper"
 
+# Blocks whose deviation falls below this are degenerate and cost -1.
+SIGMA_EPS = 1e-6
+
 # Cost entries per pass of the window kernel (pixels times window
 # length); bounds its scratch memory and keeps each pass in cache.
 _GATHER_CHUNK = 16384
 # How far a window may reach past [0, d_max] on either side: a
 # three-candidate window centred one step outside the range.
 _REACH = 2
+# Output entries per band of a plane (rows times width); bounds its
+# scratch memory to a few bands instead of a few planes.
+_PLANE_BAND = 65536
 
 
 class EvalCounter:
@@ -73,13 +89,16 @@ class EvalCounter:
 def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both images as contiguous float64 arrays.
 
-    Raises ValueError unless both are 2-D, of one shape and finite.
+    Raises ValueError unless both are 2-D, non-empty, of one shape and
+    finite.
     """
     left = np.ascontiguousarray(left, dtype=np.float64)
     right = np.ascontiguousarray(right, dtype=np.float64)
     for img in (left, right):
         if img.ndim != 2:
             raise ValueError(f"expected 2-D grayscale arrays, got shape {img.shape}")
+        if img.size == 0:
+            raise ValueError(f"images have no pixels: shape {img.shape}")
         if not np.isfinite(img).all():
             raise ValueError("images contain non-finite values (NaN or inf)")
     if left.shape != right.shape:
@@ -90,20 +109,19 @@ def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndar
 class CostEngine:
     """Disparity-cost evaluator for one pyramid level.
 
-    Block means and deviations are precomputed once per image with box
-    filters under replicate borders.  The right image and its statistics
-    are then zero-padded once by d_max+2 columns on each side, and both
-    evaluation paths (box-sum planes and the row-shared window kernel) read
-    column slices of these padded arrays: the padded columns are
-    degenerate, so a right block outside the image costs -1 on either path
-    without a separate check.  The paths share statistics and degeneracy
-    decisions and differ only in the order in which the cross sums are
-    added.
+    Both images are centred by one shared offset, then block means and
+    deviations are precomputed once per image with box filters under
+    replicate borders.  The right image and its statistics are zero-padded
+    once by d_max+2 columns on each side, and both evaluation paths (planes
+    and the row-shared window kernel) read column slices of these padded
+    arrays: the padded columns are degenerate, so a right block outside the
+    image costs -1 on either path without a separate check.  The paths
+    share statistics, degeneracy decisions, the order of the cross sums and
+    the normalization, so they return the same bits for the same entry.
     """
 
     def __init__(self, left: np.ndarray, right: np.ndarray, block: int, d_max: int,
-                 sigma_eps: float = 1e-6, sign: str = SIGN_MIDDLEBURY,
-                 counter: EvalCounter | None = None) -> None:
+                 sign: str = SIGN_MIDDLEBURY, counter: EvalCounter | None = None) -> None:
         left, right = check_pair(left, right)
         if block < 3 or block % 2 == 0:
             raise ValueError(f"block must be odd and >= 3, got {block}")
@@ -111,20 +129,23 @@ class CostEngine:
             raise ValueError(f"d_max must be >= 0, got {d_max}")
         if sign not in (SIGN_MIDDLEBURY, SIGN_PAPER_PLUS):
             raise ValueError(f"unknown sign convention {sign!r}")
+        # ZNCC ignores a shared offset; without it, bright images lose the
+        # deviations to cancellation in the sums of squares and products.
+        offset = (left.mean() + right.mean()) / 2
+        left, right = left - offset, right - offset
 
         self.height, self.width = left.shape
         self.block = block
         self.half = block // 2
         self.area = block * block
         self.d_max = int(d_max)
-        self.sigma_eps = float(sigma_eps)
         self.sign = sign
         self.counter = counter if counter is not None else EvalCounter()
 
         self._lp = np.pad(left, self.half, mode="edge")
         self._lrows = sliding_window_view(self._lp, block, axis=1)
         self.mean_l, self.sigma_l = self._stats(left)
-        self._ok_l = self.sigma_l >= self.sigma_eps
+        self._ok_l = self.sigma_l >= SIGMA_EPS
 
         # The right image and its statistics carry d_max+_REACH zero columns
         # on both sides, so a window at any legal disparity reads in bounds;
@@ -136,7 +157,7 @@ class CostEngine:
         self._rpz = np.pad(np.pad(right, self.half, mode="edge"), side)
         self._mean_rz = np.pad(mean_r, side)
         self._sigma_rz = np.pad(sigma_r, side)
-        self._ok_rz = np.pad(sigma_r >= self.sigma_eps, side)
+        self._ok_rz = np.pad(sigma_r >= SIGMA_EPS, side)
 
     def _stats(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = uniform_filter(img, size=self.block, mode="nearest")
@@ -155,21 +176,40 @@ class CostEngine:
         return self._pad + z0
 
     def plane(self, z: int) -> np.ndarray:
-        """Costs of every pixel at one disparity, via box sums."""
+        """Costs of every pixel at one disparity, a band of rows at a time.
+
+        Each entry adds the centred images' block products in the one order
+        the window kernel uses, along each block row and then over the
+        rows, so ``plane(z)[i, j]`` has the same bits as
+        ``window([i], [j], z, 1)``.
+        """
         z = int(z)
         if not 0 <= z <= self.d_max:
             raise ValueError(f"disparity {z} outside [0, {self.d_max}]")
         h, w, b = self.height, self.width, self.block
         s = self._right_start(z)
-        right = np.s_[:, s:s + w]
-
-        # Cross sums over matching blocks: multiply the padded images at
-        # the z-column offset, then take valid-mode box sums.
-        cross = _valid_box_sum(self._lp * self._rpz[:, s:s + w + b - 1], b)
-        ok = self._ok_l & self._ok_rz[right]
-        cov = cross / self.area - self.mean_l * self._mean_rz[right]
-        denom = np.where(ok, self.sigma_l * self._sigma_rz[right], 1.0)
-        cost = np.where(ok, np.clip(cov / denom, -1.0, 1.0), -1.0)
+        cost = np.empty((h, w))
+        band = max(1, _PLANE_BAND // w)
+        for i0 in range(0, h, band):
+            n = min(band, h - i0)
+            # Products of the padded images at the z-column offset, summed
+            # along each block row (b column shifts, in order t) and then
+            # over the block (b row shifts, in order p).
+            rows = np.s_[i0:i0 + n + b - 1]
+            prod = self._lp[rows] * self._rpz[rows, s:s + w + b - 1]
+            rsum = prod[:, :w].copy()
+            for t in range(1, b):
+                rsum += prod[:, t:t + w]
+            del prod
+            cross = cost[i0:i0 + n]
+            np.copyto(cross, rsum[:n])
+            for p in range(1, b):
+                cross += rsum[p:p + n]
+            del rsum
+            left, right = np.s_[i0:i0 + n], np.s_[i0:i0 + n, s:s + w]
+            self._normalize(cross, self._ok_l[left] & self._ok_rz[right],
+                            self.mean_l[left], self._mean_rz[right],
+                            self.sigma_l[left], self._sigma_rz[right])
         self.counter.add(h * w)
         return cost
 
@@ -236,14 +276,14 @@ class CostEngine:
         s = cols + self._right_start(z0, nz)
 
         # Correlate each distinct block row over the window: index k against
-        # right segment entries k..k+b-1.  The products run over (k, row)
-        # planes so each one is a single contiguous pass.
+        # right segment entries k..k+b-1, added in order t.  The products
+        # run over (k, row) planes so each one is a single contiguous pass.
         lrow = np.ascontiguousarray(self._lrows[q, cols[owner]].T)
         seg = np.ascontiguousarray(segs[q, s[owner]].T)
         del q, owner
-        corr = np.zeros((nz, lrow.shape[1]))
+        corr = seg[:nz] * lrow[0]
         term = np.empty_like(corr)
-        for t in range(b):
+        for t in range(1, b):
             np.multiply(seg[t:t + nz], lrow[t], out=term)
             corr += term
         del seg, term
@@ -255,27 +295,19 @@ class CostEngine:
             cross += corr[first + p]
         del corr  # before the statistics' temporaries
 
-        # The masking and the arithmetic of plane, in place on cross.
-        ok = self._ok_l[rows, cols][:, np.newaxis] & ok_r[rows, s]
+        self._normalize(cross, self._ok_l[rows, cols][:, np.newaxis] & ok_r[rows, s],
+                        self.mean_l[rows, cols][:, np.newaxis], mean_r[rows, s],
+                        self.sigma_l[rows, cols][:, np.newaxis], sigma_r[rows, s])
+        return cross[:, ::-1] if self.sign == SIGN_MIDDLEBURY else cross
+
+    def _normalize(self, cross, ok, mean_l, mean_r, sigma_l, sigma_r) -> None:
+        """ZNCC from block cross sums, in place: -1 where ``ok`` is False."""
         cross /= self.area
-        cross -= self.mean_l[rows, cols][:, np.newaxis] * mean_r[rows, s]
-        cross /= np.where(ok, self.sigma_l[rows, cols][:, np.newaxis] * sigma_r[rows, s], 1.0)
+        cross -= mean_l * mean_r
+        cross /= np.where(ok, sigma_l * sigma_r, 1.0)
         np.clip(cross, -1.0, 1.0, out=cross)
         cross[~ok] = -1.0
-        return cross[:, ::-1] if self.sign == SIGN_MIDDLEBURY else cross
 
     def dsi_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Full cost vectors for a sparse pixel set, shape (S, d_max+1)."""
         return self.window(rows, cols, 0, self.d_max + 1)
-
-
-def _valid_box_sum(arr: np.ndarray, size: int) -> np.ndarray:
-    """Box sums of every fully contained size x size window."""
-    integral = np.zeros((arr.shape[0] + 1, arr.shape[1] + 1))
-    integral[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
-    return (
-        integral[size:, size:]
-        - integral[:-size, size:]
-        - integral[size:, :-size]
-        + integral[:-size, :-size]
-    )

@@ -54,12 +54,12 @@ def test_build_pyramid_level_parameters():
     rng = np.random.default_rng(0)
     left, right = rng.random((40, 48)), rng.random((40, 48))
     pyr = build_pyramid(left, right, d_max=64, levels=2, base_block=11)
-    assert [lv.d_max for lv in pyr.levels] == [64, 32, 16]
-    assert [lv.block for lv in pyr.levels] == [11, 5, 3]
-    assert [lv.shape for lv in pyr.levels] == [(40, 48), (20, 24), (10, 12)]
+    assert [lv.d_max for lv in pyr] == [64, 32, 16]
+    assert [lv.block for lv in pyr] == [11, 5, 3]
+    assert [lv.shape for lv in pyr] == [(40, 48), (20, 24), (10, 12)]
     np.testing.assert_array_equal(pyr[0].left, left)
     np.testing.assert_array_equal(pyr[0].right, right)
-    for coarse, fine in zip(pyr.levels[1:], pyr.levels[:-1]):
+    for coarse, fine in zip(pyr[1:], pyr[:-1]):
         assert coarse.shape == ((fine.shape[0] + 1) // 2, (fine.shape[1] + 1) // 2)
         assert coarse.d_max <= fine.d_max
         assert coarse.block <= fine.block
@@ -130,6 +130,6 @@ def test_build_is_deterministic():
     left, right = rng.random((33, 47)), rng.random((33, 47))
     a = build_pyramid(left, right, d_max=16, levels=2, base_block=5)
     b = build_pyramid(left, right, d_max=16, levels=2, base_block=5)
-    for la, lb in zip(a.levels, b.levels):
+    for la, lb in zip(a, b):
         np.testing.assert_array_equal(la.left, lb.left)
         np.testing.assert_array_equal(la.right, lb.right)

@@ -140,18 +140,21 @@ def _dsi_requests(draw):
     """A small pair, an engine setting and a request of pixels.
 
     Shapes go down to one row and widths below d_max; grey levels are
-    quantized so constant (degenerate) blocks occur.  The request lists
-    every pixel, borders included, in a random order, plus repeats.
+    quantized so constant (degenerate) blocks occur, or continuous so sums
+    round.  The request lists every pixel, borders included, in a random
+    order, plus repeats.
     """
     block = draw(st.sampled_from([3, 5, 11]))
     height = draw(st.integers(1, 5))
     width = draw(st.integers(1, 8))
     d_max = draw(st.integers(0, width + 3))
     sign = draw(st.sampled_from(["middlebury", "paper"]))
-    levels = draw(st.sampled_from([1, 2, 16, 1 << 16]))
+    levels = draw(st.sampled_from([0, 1, 2, 16, 1 << 16]))  # 0: continuous
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    left = rng.integers(0, levels, size=(height, width)) / levels
-    right = rng.integers(0, levels, size=(height, width)) / levels
+    if levels:
+        left, right = rng.integers(0, levels, size=(2, height, width)) / levels
+    else:
+        left, right = rng.random((2, height, width))
     pixels = rng.permutation(height * width)
     pixels = np.concatenate([pixels, rng.choice(pixels, size=rng.integers(0, 4))])
     rows, cols = np.divmod(pixels, width)
@@ -198,6 +201,35 @@ def test_window_matches_naive_costs(request):
             assert abs(got[k, m] - expected) <= 1e-9
     # Entries outside [0, d_max] follow the cost rule but are not counted.
     assert engine.counter.count == legal
+    # Every path gives the same bits for the same entry.
+    full = engine.dsi_rows(rows, cols)
+    for z in range(d_max + 1):
+        single = engine.window(rows, cols, z, 1)[:, 0]
+        assert np.array_equal(engine.plane(z)[rows, cols], single)
+        assert np.array_equal(full[:, z], single)
+    z = z0[:, np.newaxis] + np.arange(nz)
+    inside = (z >= 0) & (z <= d_max)
+    assert np.array_equal(got[inside], full[np.nonzero(inside)[0], z[inside]])
+
+
+def test_bright_low_contrast_pair_matches_oracle():
+    # Around 0.9 the deviations are 3e-5: sums of the raw intensities would
+    # cancel them, and a running-sum table would lose more the larger the
+    # image is.
+    rng = np.random.default_rng(31)
+    height, width, shift = 1000, 1500, 5
+    noise = 0.9 + 3e-5 * rng.standard_normal((height, width + shift))
+    left, right = noise[:, :width], noise[:, shift:]
+    engine = CostEngine(left, right, block=11, d_max=8)
+    rows = rng.integers(0, height, size=20)
+    cols = rng.integers(0, width, size=20)
+    windows = engine.window(rows, cols, 0, 9)
+    for z in range(9):
+        plane = engine.plane(z)[rows, cols]
+        for k, (i, j) in enumerate(zip(rows, cols)):
+            expected = naive_cost(left, right, i, j, z, 5)
+            assert abs(plane[k] - expected) <= 1e-9
+            assert abs(windows[k, z] - expected) <= 1e-9
 
 
 def test_window_rejects_reach_beyond_padding():
@@ -336,6 +368,9 @@ def test_engine_validation():
             CostEngine(np.zeros(shape), np.zeros(shape), block=3, d_max=4)
         with pytest.raises(ValueError, match="expected 2-D grayscale arrays"):
             run_pipeline(np.zeros(shape), np.zeros(shape), MatchConfig(d_max=4))
+    for shape in [(0, 6), (6, 0)]:
+        with pytest.raises(ValueError, match="no pixels"):
+            CostEngine(np.zeros(shape), np.zeros(shape), block=3, d_max=4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
