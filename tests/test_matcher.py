@@ -38,6 +38,7 @@ from pyrstereo import (
         {"d_max": 16, "block": 4},
         {"d_max": 16, "block": 1},
         {"d_max": 16, "levels": -1},
+        {"d_max": 16, "beta": 0.0},
         {"d_max": 16, "sign": "up"},
     ],
 )
