@@ -47,7 +47,7 @@ from .pyramid import (
     level_d_max,
 )
 from .synthetic import interior_mask, shifted_pair
-from .zncc import CostEngine, EvalCounter
+from .zncc import CostEngine
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "ConfigError",
     "CostEngine",
     "DecodeError",
-    "EvalCounter",
     "EvalReport",
     "GroundTruthDisparity",
     "LevelTrace",

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -169,14 +170,7 @@ def cmd_compute(args) -> int:
 
     _write_manifest(
         "compute", args, calib_path,
-        config={
-            "d_max": config.d_max,
-            "levels": len(trace.levels) - 1,
-            "block": config.block,
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "sign": config.sign,
-        },
+        config={**asdict(config), "levels": len(trace.levels) - 1},
         outputs={**paths, "trace_json": trace_stem + ".json"},
         timings={
             "read_seconds": read_seconds,

@@ -10,7 +10,7 @@ against full-resolution-unit references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,20 +36,9 @@ class EvalReport:
     trust_fractions: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "bad_1": self.bad_1,
-            "bad_2": self.bad_2,
-            "bad_4": self.bad_4,
-            "avg_abs_err": self.avg_abs_err,
-            "evaluated": self.evaluated,
-            "gt_invalid": self.gt_invalid,
-            "output_invalid": self.output_invalid,
-        }
-        if self.total_evals is not None:
-            out["total_evals"] = self.total_evals
-        if self.trust_fractions is not None:
-            out["trust_fractions"] = list(self.trust_fractions)
-        return out
+        """The fields that are set, with tuples as lists."""
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items() if value is not None}
 
     def to_text(self) -> str:
         lines = []

@@ -19,15 +19,16 @@ pixels that carry no usable value.  Stages never mutate their inputs.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import binary_dilation, map_coordinates
+from scipy.ndimage import binary_dilation, zoom
 
 from .pyramid import build_pyramid
-from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine, EvalCounter
+from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine
 
 __all__ = [
     "ConfigError",
@@ -70,6 +71,10 @@ class MatchConfig:
     sign: str = SIGN_MIDDLEBURY
 
     def __post_init__(self) -> None:
+        for name in ("d_max", "levels", "block"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.d_max < 1:
             raise ConfigError(f"d_max must be >= 1, got {self.d_max}")
         if self.levels is not None and self.levels < 0:
@@ -96,9 +101,9 @@ class SelectionStats:
 
     trusted: int = 0
     trusted_evals: int = 0
-    window_max: int = 0
+    trusted_window_max: int = 0
     full_search_pixels: int = 0
-    evals: int = 0
+    selection_evals: int = 0
     vectors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False)
 
@@ -112,16 +117,16 @@ class LevelTrace:
     width: int
     d_max: int
     block: int
-    trusted: int = 0
-    trusted_evals: int = 0
-    trusted_window_max: int = 0
-    full_search_pixels: int = 0
-    selection_evals: int = 0
-    refined: int = 0
-    refine_evals: int = 0
-    refine_reused: int = 0
-    median_replaced: int = 0
-    seconds: dict = field(default_factory=dict)
+    trusted: int
+    trusted_evals: int
+    trusted_window_max: int
+    full_search_pixels: int
+    selection_evals: int
+    refined: int
+    refine_evals: int
+    refine_reused: int
+    median_replaced: int
+    seconds: dict
 
     @property
     def pixels(self) -> int:
@@ -136,25 +141,8 @@ class LevelTrace:
         return self.selection_evals + self.refine_evals
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "height": self.height,
-            "width": self.width,
-            "d_max": self.d_max,
-            "block": self.block,
-            "pixels": self.pixels,
-            "trusted": self.trusted,
-            "trusted_fraction": self.trusted_fraction,
-            "trusted_evals": self.trusted_evals,
-            "trusted_window_max": self.trusted_window_max,
-            "full_search_pixels": self.full_search_pixels,
-            "selection_evals": self.selection_evals,
-            "refined": self.refined,
-            "refine_evals": self.refine_evals,
-            "refine_reused": self.refine_reused,
-            "median_replaced": self.median_replaced,
-            "seconds": dict(self.seconds),
-        }
+        return {**asdict(self), "pixels": self.pixels,
+                "trusted_fraction": self.trusted_fraction}
 
 
 @dataclass
@@ -180,15 +168,6 @@ class PipelineTrace:
             "build_seconds": self.build_seconds,
             "total_seconds": self.total_seconds,
         }
-
-    def counts_dict(self) -> dict:
-        """Counters only, with wall times stripped (for determinism checks)."""
-        out = self.to_dict()
-        out.pop("build_seconds")
-        out.pop("total_seconds")
-        for level in out["levels"]:
-            level.pop("seconds")
-        return out
 
 
 def match_coarsest(engine: CostEngine) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +269,8 @@ def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
         )
 
     d_hat = 2.0 * np.repeat(np.repeat(d_coarse, 2, axis=0), 2, axis=1)[:h, :w]
-
-    yi = (np.arange(h) + 0.5) * (ch / h) - 0.5
-    xi = (np.arange(w) + 0.5) * (cw / w) - 0.5
-    grid = np.meshgrid(yi, xi, indexing="ij")
-    c_hat = map_coordinates(c_coarse, grid, order=3, mode="nearest")
+    # Pixel centres map onto pixel centres: target (i + 0.5) * ch / h - 0.5.
+    c_hat = zoom(c_coarse, (h / ch, w / cw), order=3, mode="nearest", grid_mode=True)
     return d_hat, np.clip(c_hat, -1.0, 1.0)
 
 
@@ -317,7 +293,7 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
         before = engine.counter.count
         disparity, cost = match_coarsest(engine)
         return disparity, cost, SelectionStats(
-            full_search_pixels=h * w, evals=engine.counter.count - before)
+            full_search_pixels=h * w, selection_evals=engine.counter.count - before)
     if d_hat.shape != (h, w) or c_hat.shape != (h, w):
         raise ValueError("prior maps must match the level dimensions")
     d_max = engine.d_max
@@ -342,7 +318,7 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
         pick = np.argmax(costs, axis=1)  # the first maximum: ties keep the smallest z
         disparity[ti, tj] = (z0 + pick).astype(np.float64)
         cost[ti, tj] = costs[np.arange(ti.shape[0]), pick]
-        stats.window_max = int(legal.sum(axis=1).max())
+        stats.trusted_window_max = int(legal.sum(axis=1).max())
         stats.trusted_evals = engine.counter.count - before
 
     full = ~trusted
@@ -355,7 +331,7 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
         cost[fi, fj] = rows[np.arange(fi.shape[0]), best]
         stats.vectors = (fi, fj, rows)
 
-    stats.evals = engine.counter.count - before
+    stats.selection_evals = engine.counter.count - before
     return disparity, cost, stats
 
 
@@ -416,18 +392,14 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
     pyramid = build_pyramid(left, right, config.d_max,
                             levels=config.levels, base_block=config.block)
     trace = PipelineTrace(build_seconds=time.perf_counter() - t_start)
-    counter = EvalCounter()
     alpha = config.alpha
 
     disparity = cost = None
     for level in reversed(pyramid):
+        # A new engine per level, so its counter holds this level's entries only.
         engine = CostEngine(level.left, level.right, level.block, level.d_max,
-                            sign=config.sign, counter=counter)
-        ltrace = LevelTrace(level=level.index, height=level.shape[0],
-                            width=level.shape[1], d_max=level.d_max,
-                            block=level.block)
-        seconds = ltrace.seconds
-
+                            sign=config.sign)
+        seconds = {}
         if disparity is not None:
             t0 = time.perf_counter()
             disparity, cost = upsample_prior(disparity, cost, level.shape)
@@ -436,27 +408,26 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
         t0 = time.perf_counter()
         disparity, cost, stats = select_with_prior(engine, disparity, cost, config.beta)
         seconds["select"] = time.perf_counter() - t0
-        ltrace.trusted = stats.trusted
-        ltrace.trusted_evals = stats.trusted_evals
-        ltrace.trusted_window_max = stats.window_max
-        ltrace.full_search_pixels = stats.full_search_pixels
-        ltrace.selection_evals = stats.evals
 
-        before = counter.count
-        ltrace.refined = int(np.sum(cost <= alpha))
+        refined = int(np.sum(cost <= alpha))
         t0 = time.perf_counter()
-        disparity, cost, ltrace.refine_reused = refine_level(engine, disparity, cost,
-                                                             alpha, stats.vectors)
+        disparity, cost, reused = refine_level(engine, disparity, cost, alpha, stats.vectors)
         seconds["refine"] = time.perf_counter() - t0
-        ltrace.refine_evals = counter.count - before
-        del stats  # its vectors are not needed past refine
+        stats.vectors = None  # refine was their last reader
 
         t0 = time.perf_counter()
         filtered = selective_median(disparity, cost, alpha)
         seconds["median"] = time.perf_counter() - t0
-        ltrace.median_replaced = _count_changed(disparity, filtered)
+        trace.levels.append(LevelTrace(
+            level=level.index, height=level.shape[0], width=level.shape[1],
+            d_max=level.d_max, block=level.block, trusted=stats.trusted,
+            trusted_evals=stats.trusted_evals, trusted_window_max=stats.trusted_window_max,
+            full_search_pixels=stats.full_search_pixels,
+            selection_evals=stats.selection_evals, refined=refined,
+            refine_evals=engine.counter.count - stats.selection_evals,
+            refine_reused=reused, median_replaced=_count_changed(disparity, filtered),
+            seconds=seconds))
         disparity = filtered
-        trace.levels.append(ltrace)
 
     trace.total_seconds = time.perf_counter() - t_start
     return disparity, cost, trace

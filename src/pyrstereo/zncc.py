@@ -14,7 +14,7 @@ degenerate right block, or a right-block center that falls outside the
 image for the requested disparity.
 
 :class:`CostEngine` evaluates these costs for a whole level.  It keeps a
-running count of every (pixel, disparity) entry it computes in a
+running count of every (pixel, disparity) entry it computes in its own
 thread-safe :class:`EvalCounter`; the counts are the basis of all
 complexity accounting downstream.  It has two evaluation paths, and both
 read one right image zero-padded by d_max+2 columns on each side, so the
@@ -42,6 +42,7 @@ with image size.
 
 from __future__ import annotations
 
+import numbers
 import threading
 
 import numpy as np
@@ -89,9 +90,11 @@ class EvalCounter:
 def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both images as contiguous float64 arrays.
 
-    Raises ValueError unless both are 2-D, non-empty, of one shape and
-    finite.
+    Raises ValueError unless both are real, 2-D, non-empty, of one shape
+    and finite.
     """
+    if np.iscomplexobj(left) or np.iscomplexobj(right):
+        raise ValueError("images are complex; expected real grayscale values")
     left = np.ascontiguousarray(left, dtype=np.float64)
     right = np.ascontiguousarray(right, dtype=np.float64)
     for img in (left, right):
@@ -121,12 +124,12 @@ class CostEngine:
     """
 
     def __init__(self, left: np.ndarray, right: np.ndarray, block: int, d_max: int,
-                 sign: str = SIGN_MIDDLEBURY, counter: EvalCounter | None = None) -> None:
+                 sign: str = SIGN_MIDDLEBURY) -> None:
         left, right = check_pair(left, right)
-        if block < 3 or block % 2 == 0:
-            raise ValueError(f"block must be odd and >= 3, got {block}")
-        if d_max < 0:
-            raise ValueError(f"d_max must be >= 0, got {d_max}")
+        if not isinstance(block, numbers.Integral) or block < 3 or block % 2 == 0:
+            raise ValueError(f"block must be an odd integer >= 3, got {block!r}")
+        if not isinstance(d_max, numbers.Integral) or d_max < 0:
+            raise ValueError(f"d_max must be an integer >= 0, got {d_max!r}")
         if sign not in (SIGN_MIDDLEBURY, SIGN_PAPER_PLUS):
             raise ValueError(f"unknown sign convention {sign!r}")
         # ZNCC ignores a shared offset; without it, bright images lose the
@@ -140,7 +143,7 @@ class CostEngine:
         self.area = block * block
         self.d_max = int(d_max)
         self.sign = sign
-        self.counter = counter if counter is not None else EvalCounter()
+        self.counter = EvalCounter()
 
         self._lp = np.pad(left, self.half, mode="edge")
         self._lrows = sliding_window_view(self._lp, block, axis=1)

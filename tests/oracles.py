@@ -206,6 +206,22 @@ def naive_nn_double(coarse, target_shape):
     return out
 
 
+def grid_bicubic_upsample(c_coarse, target_shape):
+    """Bicubic upsample that samples each target pixel centre on an explicit grid.
+
+    Target pixel (i, j) reads the coarse map at ((i + 0.5) * ch / h - 0.5,
+    (j + 0.5) * cw / w - 0.5), clamped into [-1, 1] afterwards.
+    """
+    from scipy.ndimage import map_coordinates
+
+    h, w = target_shape
+    ch, cw = c_coarse.shape
+    yi = (np.arange(h) + 0.5) * (ch / h) - 0.5
+    xi = (np.arange(w) + 0.5) * (cw / w) - 0.5
+    grid = np.meshgrid(yi, xi, indexing="ij")
+    return np.clip(map_coordinates(c_coarse, grid, order=3, mode="nearest"), -1.0, 1.0)
+
+
 def naive_metrics(disparity, gt_values, gt_invalid, scale=1.0, taus=(1.0, 2.0, 4.0)):
     """Per-pixel counting of bad-tau rates and mean absolute error."""
     h, w = disparity.shape

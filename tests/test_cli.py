@@ -172,6 +172,37 @@ def test_eval_self_is_zero(pair, tmp_path, capsys):
     assert "bad_2=0.000000" in capsys.readouterr().out
 
 
+def test_serialised_key_sets(pair, tmp_path):
+    # eval --trace and the benchmark read these keys from the files.
+    left, right = pair
+    out = tmp_path / "run"
+    assert main(["compute", str(left), str(right), "--dmax", "8", "--levels", "1",
+                 "--block", "5", "--out", str(out)]) == 0
+    trace = json.loads((out / "trace.json").read_text())
+    assert set(trace) == {"levels", "total_evals", "build_seconds", "total_seconds"}
+    for level in trace["levels"]:
+        assert set(level) == {
+            "level", "height", "width", "d_max", "block", "pixels", "trusted",
+            "trusted_fraction", "trusted_evals", "trusted_window_max",
+            "full_search_pixels", "selection_evals", "refined", "refine_evals",
+            "refine_reused", "median_replaced", "seconds",
+        }
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["config"]) == {"d_max", "levels", "block", "alpha", "beta", "sign"}
+    assert manifest["config"]["levels"] == 1
+
+    metrics = {"bad_1", "bad_2", "bad_4", "avg_abs_err", "evaluated", "gt_invalid",
+               "output_invalid"}
+    disparity = str(out / "disparity.pfm")
+    assert main(["eval", disparity, disparity, "--out", str(tmp_path / "plain")]) == 0
+    report = json.loads((tmp_path / "plain" / "report.json").read_text())
+    assert set(report["metrics"]) == metrics
+    assert main(["eval", disparity, disparity, "--trace", str(out / "trace.json"),
+                 "--out", str(tmp_path / "traced")]) == 0
+    report = json.loads((tmp_path / "traced" / "report.json").read_text())
+    assert set(report["metrics"]) == metrics | {"total_evals", "trust_fractions"}
+
+
 def test_eval_baseline_trace_has_no_trust_fractions(pair, tmp_path):
     left, right = pair
     out = tmp_path / "base"

@@ -11,7 +11,12 @@ from scipy.ndimage import binary_dilation
 
 import pyrstereo
 import pyrstereo.matcher as matcher
-from oracles import loop_full_search, naive_nn_double, naive_selective_median
+from oracles import (
+    grid_bicubic_upsample,
+    loop_full_search,
+    naive_nn_double,
+    naive_selective_median,
+)
 from pyrstereo import (
     ConfigError,
     CostEngine,
@@ -40,6 +45,9 @@ from pyrstereo import (
         {"d_max": 16, "levels": -1},
         {"d_max": 16, "beta": 0.0},
         {"d_max": 16, "sign": "up"},
+        {"d_max": 8.5},
+        {"d_max": 16, "block": 5.0},
+        {"d_max": 16, "levels": 1.0},
     ],
 )
 def test_config_validation(kwargs):
@@ -253,7 +261,7 @@ def test_package_exports_matcher_api():
     assert pyrstereo.SelectionStats is matcher.SelectionStats
     assert set(pyrstereo.__all__) == {
         "BAD_THRESHOLDS", "CalibInfo", "ConfigError", "CostEngine",
-        "DecodeError", "EvalCounter", "EvalReport", "GroundTruthDisparity", "LevelTrace",
+        "DecodeError", "EvalReport", "GroundTruthDisparity", "LevelTrace",
         "MalformedHeaderError", "MatchConfig", "MissingKeyError", "PipelineTrace",
         "PyramidLevel", "SelectionStats", "TruncatedPayloadError",
         "UnsupportedMaxvalError", "auto_levels", "baseline_bm", "build_pyramid",
@@ -314,6 +322,21 @@ def test_upsample_bicubic_preserves_constants_and_clamps():
     assert c_hat.max() <= 1.0
 
 
+def test_upsample_bicubic_equals_grid_sampling():
+    # Odd and even sizes from 1x2 up, and one full-size parent.
+    rng = np.random.default_rng(33)
+    shapes = [tuple(rng.integers(2, 60, size=2)) for _ in range(60)]
+    shapes += [(1, 2), (2, 1), (1, 37), (375, 450)]
+    for h, w in shapes:
+        coarse = rng.uniform(-1.0, 1.0, size=((h + 1) // 2, (w + 1) // 2))
+        _, c_hat = upsample_prior(np.zeros(coarse.shape), coarse, (h, w))
+        np.testing.assert_array_equal(c_hat, grid_bicubic_upsample(coarse, (h, w)))
+    # A 1x1 map is returned as it is; sampling it on the grid is 1 ulp off.
+    coarse = np.array([[0.9009273926518706]])
+    _, c_hat = upsample_prior(np.zeros((1, 1)), coarse, (1, 1))
+    np.testing.assert_array_equal(c_hat, coarse)
+
+
 def test_upsample_rejects_non_dyadic_target():
     with pytest.raises(ValueError):
         upsample_prior(np.zeros((2, 2)), np.zeros((2, 2)), (5, 4))
@@ -331,8 +354,8 @@ def test_prior_guided_search_with_perfect_prior():
     mask = interior_mask(left.shape, 5, 5)
     assert np.mean(disparity[mask] == 5) >= 0.99
     assert stats.trusted == 24 * 40
-    assert stats.window_max <= 3
-    assert stats.evals <= 3 * 24 * 40
+    assert stats.trusted_window_max <= 3
+    assert stats.selection_evals <= 3 * 24 * 40
 
 
 def test_prior_guided_search_off_by_one_prior():
@@ -369,7 +392,7 @@ def test_prior_guided_search_without_trust_equals_full_search():
     np.testing.assert_array_equal(d_sel, d_full)
     np.testing.assert_allclose(c_sel, c_full, atol=1e-9)
     assert stats.trusted == 0
-    assert stats.evals == 14 * 18 * 7
+    assert stats.selection_evals == 14 * 18 * 7
 
 
 def test_prior_guided_search_invalid_prior_falls_back():
@@ -394,7 +417,7 @@ def test_select_without_prior_is_full_search():
     np.testing.assert_array_equal(cost, expected_c)
     assert stats.trusted == 0
     assert stats.full_search_pixels == 15 * 19
-    assert stats.evals == engine.counter.count == 15 * 19 * 8
+    assert stats.selection_evals == engine.counter.count == 15 * 19 * 8
     with pytest.raises(ValueError):
         select_with_prior(engine, None, np.zeros((15, 19)), beta=0.9)
 

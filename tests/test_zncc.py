@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import fsum_zncc, naive_cost, naive_dsi_vector
 from pyrstereo import (
     CostEngine,
-    EvalCounter,
     MatchConfig,
     baseline_bm,
     build_pyramid,
@@ -18,7 +17,7 @@ from pyrstereo import (
     shifted_pair,
 )
 from pyrstereo.cli import EXIT_CONFIG, main
-from pyrstereo.zncc import _GATHER_CHUNK, _REACH
+from pyrstereo.zncc import _GATHER_CHUNK, _REACH, EvalCounter
 
 
 def _random_images(rng, h=9, w=9):
@@ -309,8 +308,8 @@ def test_costs_stay_in_range():
 def test_counter_counts_every_entry():
     rng = np.random.default_rng(12)
     left, right = _random_images(rng, 8, 8)
-    counter = EvalCounter()
-    engine = CostEngine(left, right, block=3, d_max=4, counter=counter)
+    engine = CostEngine(left, right, block=3, d_max=4)
+    counter = engine.counter
     engine.plane(0)
     assert counter.count == 64
     engine.window(np.array([1, 2, 3]), np.array([1, 2, 3]), np.array([0, 1, 2]), 1)
@@ -371,6 +370,20 @@ def test_engine_validation():
     for shape in [(0, 6), (6, 0)]:
         with pytest.raises(ValueError, match="no pixels"):
             CostEngine(np.zeros(shape), np.zeros(shape), block=3, d_max=4)
+    # Casting would drop the imaginary part and match the real part alone.
+    rng = np.random.default_rng(34)
+    real = rng.random((32, 32))
+    for pair in [(real + 1j * real, real), (real, real.astype(np.complex64))]:
+        with pytest.raises(ValueError, match="complex"):
+            CostEngine(*pair, block=3, d_max=4)
+        with pytest.raises(ValueError, match="complex"):
+            build_pyramid(*pair, 4, levels=1, base_block=3)
+        with pytest.raises(ValueError, match="complex"):
+            run_pipeline(*pair, MatchConfig(d_max=4, block=3))
+    # A fractional bound would be truncated to a smaller search.
+    for kwargs in [{"block": 3, "d_max": 8.5}, {"block": 3.0, "d_max": 4}]:
+        with pytest.raises(ValueError, match="integer"):
+            CostEngine(real, real, **kwargs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
