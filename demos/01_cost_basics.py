@@ -49,7 +49,7 @@ for z, value in enumerate(vector):
     print(f"  z={z}: {value:+.4f}{marker}")
 
 # A window of one disparity gives a single entry, and every evaluation is
-# counted: the counter is the currency all complexity claims are audited in.
-before = engine.counter.count
+# counted: `engine.count` is the currency all complexity claims are audited in.
+before = engine.count
 engine.window(np.array([16]), np.array([24]), 4, 1)
-print("\nevaluations so far:", engine.counter.count, f"(+{engine.counter.count - before} for the single entry)")
+print("\nevaluations so far:", engine.count, f"(+{engine.count - before} for the single entry)")

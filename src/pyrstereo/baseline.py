@@ -35,4 +35,4 @@ def baseline_bm(left: np.ndarray, right: np.ndarray, d_max: int, block: int,
     """
     engine = CostEngine(left, right, block, d_max, sign=sign)
     disparity, cost = match_coarsest(engine)
-    return disparity, cost, engine.counter.count
+    return disparity, cost, engine.count

@@ -4,14 +4,16 @@ Every level runs the same steps, coarsest first.  A level receives the
 coarser level's disparity and cost maps, upsampled, as a prior: pixels
 whose interpolated cost clears the trust threshold ``beta`` are searched
 only in a three-candidate window around twice the coarse disparity,
-everything else falls back to a full search.  The coarsest level has no
-prior, so all of it is full search.  After selection, each level runs two
-confidence-gated repairs controlled by ``alpha``:
+everything else falls back to a full search (all of the coarsest level,
+whose prior is NaN).  Two repairs gated by ``alpha`` follow:
 
 * low-cost pixels are re-selected on the cost vectors summed over their
   3x3 neighborhood (a disparity is trusted when nearby searches agree);
 * remaining low-cost pixels take the median of the confident disparities
   in their 5x5 window.
+
+The full search and the re-selection walk a level in bands of rows, one
+band apart, so a level holds three bands of cost vectors at most.
 
 All maps are float64; disparities are integer-valued with NaN marking
 pixels that carry no usable value.  Stages never mutate their inputs.
@@ -45,8 +47,13 @@ __all__ = [
 ]
 
 
-# Low-cost pixels whose neighbor sums refine_level holds at a time.
+# Low-cost pixels whose neighbor sums or median windows are held at a time.
 _REFINE_CHUNK = 4096
+# Full cost vectors one band of rows may hold (rows times width times
+# disparities), unless that is under _BAND_MIN_ROWS rows: a shorter band
+# recomputes most block rows of its planes and windows.
+_BAND_ENTRIES = 1 << 19
+_BAND_MIN_ROWS = 16
 
 
 class ConfigError(ValueError):
@@ -91,21 +98,13 @@ class MatchConfig:
 
 @dataclass
 class SelectionStats:
-    """Bookkeeping of one prior-guided selection pass.
-
-    ``vectors`` holds the rows, columns and full cost vectors of the pixels
-    that fell back to full search, for :func:`refine_level` to read instead
-    of recomputing them.  It is None when no pixel fell back, and when a
-    level without a prior was searched by planes.
-    """
+    """Bookkeeping of one prior-guided selection pass."""
 
     trusted: int = 0
     trusted_evals: int = 0
     trusted_window_max: int = 0
     full_search_pixels: int = 0
     selection_evals: int = 0
-    vectors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False)
 
 
 @dataclass
@@ -162,12 +161,8 @@ class PipelineTrace:
         return tuple(lt.trusted_fraction for lt in self.levels)
 
     def to_dict(self) -> dict:
-        return {
-            "levels": [lt.to_dict() for lt in self.levels],
-            "total_evals": self.total_evals,
-            "build_seconds": self.build_seconds,
-            "total_seconds": self.total_seconds,
-        }
+        return {**asdict(self), "levels": [lt.to_dict() for lt in self.levels],
+                "total_evals": self.total_evals}
 
 
 def match_coarsest(engine: CostEngine) -> tuple[np.ndarray, np.ndarray]:
@@ -191,63 +186,17 @@ def match_coarsest(engine: CostEngine) -> tuple[np.ndarray, np.ndarray]:
 
 
 def refine_level(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
-                 alpha: float, vectors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
+                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Re-select low-confidence pixels on neighborhood-summed cost vectors.
 
     Pixels with cost above ``alpha`` pass through untouched.  The rest take
     the disparity with the best cost summed over their (clipped) 3x3
     neighborhood; the stored cost is that sum divided by the neighborhood
-    size, so it stays comparable to ``alpha`` at later gates.
-
-    ``vectors`` are full cost vectors this engine already computed, as
-    ``(rows, cols, costs)`` (see :class:`SelectionStats`).  They are read
-    instead of recomputed, so only the missing vectors are evaluated and
-    counted; the maps are the same either way.  Returns the new maps and
-    the number of vectors read from ``vectors``.
+    size, so it stays comparable to ``alpha`` at later gates.  This is the
+    band pass with nothing left to select: it computes every needed vector.
     """
-    low = cost <= alpha
-    if not low.any():
-        return disparity.copy(), cost.copy(), 0
-
-    h, w = cost.shape
-    needed = binary_dilation(low, structure=np.ones((3, 3), dtype=bool))
-    # Vector row of each needed pixel, with a border of -1 ("no neighbor"):
-    # rows below known_n index the given vectors, the rest the computed ones.
-    index = np.full((h + 2, w + 2), -1, dtype=np.intp)
-    inner = index[1:-1, 1:-1]
-    known = np.empty((0, engine.d_max + 1))
-    reused = 0
-    if vectors is not None:
-        krows, kcols, known = vectors
-        use = needed[krows, kcols]
-        inner[krows[use], kcols[use]] = np.nonzero(use)[0]
-        reused = int(np.count_nonzero(use))
-    known_n = known.shape[0]
-    mrows, mcols = np.nonzero(needed & (inner < 0))
-    fresh = engine.dsi_rows(mrows, mcols)
-    inner[mrows, mcols] = known_n + np.arange(mrows.shape[0])
-
-    new_d = disparity.copy()
-    new_c = cost.copy()
-    li, lj = np.nonzero(low)
-    for start in range(0, li.shape[0], _REFINE_CHUNK):
-        ci = li[start:start + _REFINE_CHUNK]
-        cj = lj[start:start + _REFINE_CHUNK]
-        summed = np.zeros((ci.shape[0], engine.d_max + 1))
-        members = np.zeros(ci.shape[0])
-        for di in (0, 1, 2):
-            for dj in (0, 1, 2):
-                src = index[ci + di, cj + dj]
-                members += src >= 0
-                old = (src >= 0) & (src < known_n)
-                summed[old] += known[src[old]]
-                new = src >= known_n
-                summed[new] += fresh[src[new] - known_n]
-        best = np.argmax(summed, axis=1)
-        new_d[ci, cj] = best.astype(np.float64)
-        new_c[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
-    return new_d, new_c, reused
+    return _band_pass(engine, disparity, cost, np.ones(cost.shape, dtype=bool),
+                      SelectionStats(), alpha, {})
 
 
 def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
@@ -274,8 +223,7 @@ def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
     return d_hat, np.clip(c_hat, -1.0, 1.0)
 
 
-def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
-                      c_hat: np.ndarray | None,
+def select_with_prior(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray,
                       beta: float) -> tuple[np.ndarray, np.ndarray, SelectionStats]:
     """Disparity selection guided by an upsampled prior.
 
@@ -283,32 +231,30 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
     the candidates {d_hat-1, d_hat, d_hat+1} clipped to [0, d_max] (at most
     three evaluations); all other pixels, including those whose prior is
     NaN or leaves no legal candidate, get a full search.  Ties pick the
-    smallest disparity in both branches.  With no prior (``d_hat`` and
-    ``c_hat`` both None) every pixel is searched, by :func:`match_coarsest`.
+    smallest disparity in both branches.  A prior that is NaN everywhere,
+    as the coarsest level's is, trusts no pixel.  This is the band pass
+    without refine.
     """
-    h, w = engine.height, engine.width
-    if d_hat is None or c_hat is None:
-        if d_hat is not c_hat:
-            raise ValueError("give both prior maps or neither")
-        before = engine.counter.count
-        disparity, cost = match_coarsest(engine)
-        return disparity, cost, SelectionStats(
-            full_search_pixels=h * w, selection_evals=engine.counter.count - before)
+    disparity, cost, trusted, stats = _select_trusted(engine, d_hat, c_hat, beta)
+    _band_pass(engine, disparity, cost, trusted, stats, None, {})
+    return disparity, cost, stats
+
+
+def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, beta: float,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SelectionStats]:
+    """Maps set at the trusted pixels, by one window call; the mask; the stats."""
+    h, w, d_max = engine.height, engine.width, engine.d_max
     if d_hat.shape != (h, w) or c_hat.shape != (h, w):
         raise ValueError("prior maps must match the level dimensions")
-    d_max = engine.d_max
-
     finite = np.isfinite(d_hat)
     center = np.where(finite, d_hat, 0.0).astype(np.intp)
-    window_ok = finite & (center + 1 >= 0) & (center - 1 <= d_max)
-    trusted = (c_hat > beta) & window_ok
+    trusted = (c_hat > beta) & finite & (center + 1 >= 0) & (center - 1 <= d_max)
 
-    disparity = np.empty((h, w))
-    cost = np.empty((h, w))
-    stats = SelectionStats(trusted=int(trusted.sum()))
-
-    before = engine.counter.count
-    if stats.trusted:
+    disparity, cost = np.empty((h, w)), np.empty((h, w))
+    n = int(trusted.sum())
+    stats = SelectionStats(trusted=n, full_search_pixels=h * w - n)
+    if n:
+        before = engine.count
         ti, tj = np.nonzero(trusted)
         z0 = center[ti, tj] - 1
         costs = engine.window(ti, tj, z0, 3)
@@ -319,20 +265,87 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray | None,
         disparity[ti, tj] = (z0 + pick).astype(np.float64)
         cost[ti, tj] = costs[np.arange(ti.shape[0]), pick]
         stats.trusted_window_max = int(legal.sum(axis=1).max())
-        stats.trusted_evals = engine.counter.count - before
+        stats.trusted_evals = stats.selection_evals = engine.count - before
+    return disparity, cost, trusted, stats
 
-    full = ~trusted
-    stats.full_search_pixels = int(full.sum())
-    if stats.full_search_pixels:
-        fi, fj = np.nonzero(full)
-        rows = engine.dsi_rows(fi, fj)
-        best = np.argmax(rows, axis=1)
-        disparity[fi, fj] = best.astype(np.float64)
-        cost[fi, fj] = rows[np.arange(fi.shape[0]), best]
-        stats.vectors = (fi, fj, rows)
 
-    stats.selection_evals = engine.counter.count - before
-    return disparity, cost, stats
+def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
+               trusted: np.ndarray, stats: SelectionStats, alpha: float | None,
+               seconds: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Full search of the untrusted pixels and refine, a band of rows at a time.
+
+    Band k is selected, then band k-1 refined, as its low pixels' 3x3
+    neighbors reach into bands k-2 and k; a ring holds the full cost vectors
+    of these three.  Selection fills the untrusted pixels of ``disparity``
+    and ``cost``, from planes over the band's rows if none of them is
+    trusted, else from the window kernel.  Refine (none if ``alpha`` is
+    None) writes the returned maps; it computes only the vectors missing
+    from the ring, by one ``dsi_rows`` call per band, and keeps them there.
+    ``stats`` gets the selection's entries and ``seconds`` refine's time.
+    """
+    h, w, nz = engine.height, engine.width, engine.d_max + 1
+    band = min(h, max(_BAND_MIN_ROWS, _BAND_ENTRIES // (w * nz)))
+    slots = min(3 * band, h)
+    # Vectors by ring row and padded column.  The border columns and the
+    # last row stay zero, so a neighbor outside the level adds zero.
+    ring = np.zeros((slots + 1, w + 2, nz))
+    have = ~trusted  # the pixels whose vectors the ring holds, or held
+    ring_row = np.append(np.arange(h) % slots, slots)  # rows -1 and h read the zero row
+    new_d, new_c = np.empty((h, w)), np.empty((h, w))
+    for top in range(0, h + band, band):  # the step past the end refines the last band
+        if top < h:
+            bottom = min(top + band, h)
+            full = ~trusted[top:bottom]
+            before = engine.count
+            if full.all():
+                # One transposing copy: plane by plane touches each ring line nz times.
+                planes = np.empty((nz, bottom - top, w))
+                for z, plane in enumerate(planes):
+                    engine._rows(z, top, bottom, plane)
+                slab = ring[ring_row[top]:ring_row[top] + bottom - top, 1:w + 1]
+                slab[...] = planes.transpose(1, 2, 0)
+                del planes
+                best = slab.argmax(axis=2)
+                disparity[top:bottom] = best
+                cost[top:bottom] = np.take_along_axis(slab, best[..., np.newaxis], 2)[..., 0]
+            elif full.any():
+                fi, fj = np.nonzero(full)
+                fi += top
+                vectors = engine.dsi_rows(fi, fj)
+                ring[ring_row[fi], fj + 1] = vectors
+                best = np.argmax(vectors, axis=1)
+                disparity[fi, fj] = best
+                cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
+            stats.selection_evals += engine.count - before
+            new_d[top:bottom], new_c[top:bottom] = disparity[top:bottom], cost[top:bottom]
+        if alpha is None or top == 0:
+            continue
+        t0 = time.perf_counter()
+        # The previous band's low pixels, over it and its halo rows.
+        upper, lower = top - band, min(top, h)
+        first, end = max(upper - 1, 0), min(lower + 1, h)
+        low = np.zeros((end - first, w), dtype=bool)
+        low[upper - first:lower - first] = cost[upper:lower] <= alpha
+        mi, mj = np.nonzero(binary_dilation(low, np.ones((3, 3))) & ~have[first:end])
+        if mi.size:  # none are missing where the whole level was searched in full
+            mi += first
+            ring[ring_row[mi], mj + 1] = engine.dsi_rows(mi, mj)
+            have[mi, mj] = True
+        li, lj = np.nonzero(low)
+        li += first
+        for start in range(0, li.shape[0], _REFINE_CHUNK):
+            ci, cj = li[start:start + _REFINE_CHUNK], lj[start:start + _REFINE_CHUNK]
+            summed = np.zeros((ci.shape[0], nz))  # neighbors add in (row, column) order
+            for di in (-1, 0, 1):
+                rows = ring_row[ci + di]
+                for dj in (0, 1, 2):
+                    summed += ring[rows, cj + dj]
+            members = ((ci > 0) + 1 + (ci < h - 1)) * ((cj > 0) + 1 + (cj < w - 1))
+            best = np.argmax(summed, axis=1)
+            new_d[ci, cj] = best
+            new_c[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
+        seconds["refine"] = seconds.get("refine", 0.0) + time.perf_counter() - t0
+    return new_d, new_c
 
 
 def selective_median(disparity: np.ndarray, cost: np.ndarray,
@@ -357,20 +370,21 @@ def selective_median(disparity: np.ndarray, cost: np.ndarray,
     cwin = sliding_window_view(cpad, (5, 5))
     dwin = sliding_window_view(dpad, (5, 5))
 
-    li, lj = np.nonzero(low)
-    cw = cwin[li, lj].reshape(li.shape[0], 25)
-    dw = dwin[li, lj].reshape(li.shape[0], 25)
-    qualifies = (cw > alpha) & np.isfinite(dw)
-    counts = qualifies.sum(axis=1)
-
-    pool = np.where(qualifies, dw, np.inf)
-    pool.sort(axis=1)
-    pick = np.maximum(counts - 1, 0) // 2
-    medians = pool[np.arange(li.shape[0]), pick]
-
     out = disparity.copy()
-    have = counts > 0
-    out[li[have], lj[have]] = medians[have]
+    li, lj = np.nonzero(low)
+    for start in range(0, li.shape[0], _REFINE_CHUNK):
+        ci, cj = li[start:start + _REFINE_CHUNK], lj[start:start + _REFINE_CHUNK]
+        cw = cwin[ci, cj].reshape(ci.shape[0], 25)
+        dw = dwin[ci, cj].reshape(ci.shape[0], 25)
+        qualifies = (cw > alpha) & np.isfinite(dw)
+        counts = qualifies.sum(axis=1)
+
+        pool = np.where(qualifies, dw, np.inf)
+        pool.sort(axis=1)
+        pick = np.maximum(counts - 1, 0) // 2
+        medians = pool[np.arange(ci.shape[0]), pick]
+        have = counts > 0
+        out[ci[have], cj[have]] = medians[have]
     return out
 
 
@@ -392,41 +406,38 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
     pyramid = build_pyramid(left, right, config.d_max,
                             levels=config.levels, base_block=config.block)
     trace = PipelineTrace(build_seconds=time.perf_counter() - t_start)
-    alpha = config.alpha
 
     disparity = cost = None
     for level in reversed(pyramid):
-        # A new engine per level, so its counter holds this level's entries only.
+        # A new engine per level, so its count holds this level's entries only.
         engine = CostEngine(level.left, level.right, level.block, level.d_max,
                             sign=config.sign)
         seconds = {}
-        if disparity is not None:
+        if disparity is None:  # the coarsest level: a NaN prior trusts no pixel
+            d_hat = c_hat = np.broadcast_to(np.nan, level.shape)
+        else:
             t0 = time.perf_counter()
-            disparity, cost = upsample_prior(disparity, cost, level.shape)
+            d_hat, c_hat = upsample_prior(disparity, cost, level.shape)
             seconds["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        disparity, cost, stats = select_with_prior(engine, disparity, cost, config.beta)
-        seconds["select"] = time.perf_counter() - t0
-
-        refined = int(np.sum(cost <= alpha))
-        t0 = time.perf_counter()
-        disparity, cost, reused = refine_level(engine, disparity, cost, alpha, stats.vectors)
-        seconds["refine"] = time.perf_counter() - t0
-        stats.vectors = None  # refine was their last reader
+        disparity, cost, trusted, stats = _select_trusted(engine, d_hat, c_hat, config.beta)
+        new_d, new_c = _band_pass(engine, disparity, cost, trusted, stats, config.alpha,
+                                  seconds)
+        seconds["select"] = time.perf_counter() - t0 - seconds["refine"]
+        low = cost <= config.alpha  # by the selected costs
+        disparity, cost = new_d, new_c
 
         t0 = time.perf_counter()
-        filtered = selective_median(disparity, cost, alpha)
+        filtered = selective_median(disparity, cost, config.alpha)
         seconds["median"] = time.perf_counter() - t0
         trace.levels.append(LevelTrace(
             level=level.index, height=level.shape[0], width=level.shape[1],
-            d_max=level.d_max, block=level.block, trusted=stats.trusted,
-            trusted_evals=stats.trusted_evals, trusted_window_max=stats.trusted_window_max,
-            full_search_pixels=stats.full_search_pixels,
-            selection_evals=stats.selection_evals, refined=refined,
-            refine_evals=engine.counter.count - stats.selection_evals,
-            refine_reused=reused, median_replaced=_count_changed(disparity, filtered),
-            seconds=seconds))
+            d_max=level.d_max, block=level.block, **asdict(stats), refined=int(low.sum()),
+            refine_evals=engine.count - stats.selection_evals,
+            # Refine read the vectors that selection computed, the untrusted ones.
+            refine_reused=int(np.count_nonzero(binary_dilation(low, np.ones((3, 3))) & ~trusted)),
+            median_replaced=_count_changed(disparity, filtered), seconds=seconds))
         disparity = filtered
 
     trace.total_seconds = time.perf_counter() - t_start

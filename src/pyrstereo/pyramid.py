@@ -109,6 +109,9 @@ def build_pyramid(left: np.ndarray, right: np.ndarray, d_max: int,
     every downsampled level.
     """
     left, right = check_pair(left, right)
+    for name, value in (("d_max", d_max), ("levels", levels), ("base_block", base_block)):
+        if value is not None and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     if base_block < 3 or base_block % 2 == 0:

@@ -13,16 +13,16 @@ correlation: a degenerate left block (sigma below ``SIGMA_EPS``), a
 degenerate right block, or a right-block center that falls outside the
 image for the requested disparity.
 
-:class:`CostEngine` evaluates these costs for a whole level.  It keeps a
-running count of every (pixel, disparity) entry it computes in its own
-thread-safe :class:`EvalCounter`; the counts are the basis of all
-complexity accounting downstream.  It has two evaluation paths, and both
-read one right image zero-padded by d_max+2 columns on each side, so the
-padding alone applies the out-of-range rule:
+:class:`CostEngine` evaluates these costs for one level of one run, in one
+thread.  It adds every (pixel, disparity) entry it computes to the integer
+``count``, the basis of all complexity accounting downstream.  It has two
+evaluation paths, and both read one right image zero-padded by d_max+2
+columns on each side, so the padding alone applies the out-of-range rule:
 
 - planes (``plane``): every pixel at one disparity, a band of rows at a
   time; a full search can take them one at a time and hold O(H*W)
-  memory instead of the whole volume;
+  memory instead of the whole volume.  The matcher's band pass takes the
+  planes of one band of rows through the same routine;
 - the window kernel (``window``): a sparse pixel set, each pixel at its
   own run of consecutive disparities; each distinct block row is
   correlated once across the run and shared by the vertically adjacent
@@ -43,13 +43,12 @@ with image size.
 from __future__ import annotations
 
 import numbers
-import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter
 
-__all__ = ["SIGMA_EPS", "SIGN_MIDDLEBURY", "SIGN_PAPER_PLUS", "EvalCounter", "CostEngine"]
+__all__ = ["SIGMA_EPS", "SIGN_MIDDLEBURY", "SIGN_PAPER_PLUS", "CostEngine"]
 
 # Matching direction for rectified pairs: a left-image feature sits at a
 # smaller column in the right image, so the right center is (i, j - z).
@@ -69,22 +68,6 @@ _REACH = 2
 # Output entries per band of a plane (rows times width); bounds its
 # scratch memory to a few bands instead of a few planes.
 _PLANE_BAND = 65536
-
-
-class EvalCounter:
-    """Exact, thread-safe tally of cost evaluations."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def add(self, n: int) -> None:
-        with self._lock:
-            self._count += int(n)
-
-    @property
-    def count(self) -> int:
-        return self._count
 
 
 def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +126,7 @@ class CostEngine:
         self.area = block * block
         self.d_max = int(d_max)
         self.sign = sign
-        self.counter = EvalCounter()
+        self.count = 0  # entries computed so far
 
         self._lp = np.pad(left, self.half, mode="edge")
         self._lrows = sliding_window_view(self._lp, block, axis=1)
@@ -189,12 +172,15 @@ class CostEngine:
         z = int(z)
         if not 0 <= z <= self.d_max:
             raise ValueError(f"disparity {z} outside [0, {self.d_max}]")
-        h, w, b = self.height, self.width, self.block
+        return self._rows(z, 0, self.height, np.empty((self.height, self.width)))
+
+    def _rows(self, z: int, top: int, bottom: int, cost: np.ndarray) -> np.ndarray:
+        """Plane ``z`` over rows top..bottom-1 into ``cost``, a band at a time."""
+        w, b = self.width, self.block
         s = self._right_start(z)
-        cost = np.empty((h, w))
         band = max(1, _PLANE_BAND // w)
-        for i0 in range(0, h, band):
-            n = min(band, h - i0)
+        for i0 in range(top, bottom, band):
+            n = min(band, bottom - i0)
             # Products of the padded images at the z-column offset, summed
             # along each block row (b column shifts, in order t) and then
             # over the block (b row shifts, in order p).
@@ -204,7 +190,7 @@ class CostEngine:
             for t in range(1, b):
                 rsum += prod[:, t:t + w]
             del prod
-            cross = cost[i0:i0 + n]
+            cross = cost[i0 - top:i0 - top + n]
             np.copyto(cross, rsum[:n])
             for p in range(1, b):
                 cross += rsum[p:p + n]
@@ -213,7 +199,7 @@ class CostEngine:
             self._normalize(cross, self._ok_l[left] & self._ok_rz[right],
                             self.mean_l[left], self._mean_rz[right],
                             self.sigma_l[left], self._sigma_rz[right])
-        self.counter.add(h * w)
+        self.count += (bottom - top) * w
         return cost
 
     def window(self, rows: np.ndarray, cols: np.ndarray, z0, nz: int) -> np.ndarray:
@@ -221,7 +207,7 @@ class CostEngine:
 
         ``z0`` is one start per pixel, or one for all.  A window may reach
         up to two disparities past [0, d_max] on either side; entries there
-        follow the same cost rule but are not counted, so the counter grows
+        follow the same cost rule but are not counted, so the count grows
         by the number of entries inside [0, d_max].
 
         Block row p of pixel (i, j) is padded row i+p at column j.  Pixels
@@ -258,7 +244,7 @@ class CostEngine:
             sel = order[start:start + chunk]
             out[sel] = self._window_chunk(rows[sel], cols[sel], z0[sel], nz, right)
         legal = np.minimum(z0 + nz - 1, self.d_max) - np.maximum(z0, 0) + 1
-        self.counter.add(np.maximum(legal, 0).sum())
+        self.count += int(np.maximum(legal, 0).sum())
         return out
 
     def _window_chunk(self, rows, cols, z0, nz, right):

@@ -83,7 +83,7 @@ def test_criterion_1_coarse_oracle_equivalence():
         oracle_d, oracle_c, evals = loop_full_search(left, right, d_max, block)
         np.testing.assert_array_equal(disparity, oracle_d)
         np.testing.assert_allclose(cost, oracle_c, atol=1e-9)
-        assert evals == engine.counter.count == h * w * (d_max + 1)
+        assert evals == engine.count == h * w * (d_max + 1)
         if pairs < 5:
             # Cross-check the loop-nest oracle against the fsum
             # quadruple-loop one.
@@ -190,7 +190,7 @@ def test_criterion_5_gate_exactness():
         noise = rng.uniform(-0.4, 0.4, size=cost.shape)
         cost = np.clip(cost + noise, -1.0, 1.0)
 
-        refined_d, refined_c, _ = refine_level(engine, disparity, cost, alpha)
+        refined_d, refined_c = refine_level(engine, disparity, cost, alpha)
         keep = cost > alpha
         np.testing.assert_array_equal(refined_d[keep], disparity[keep])
         np.testing.assert_array_equal(refined_c[keep], cost[keep])

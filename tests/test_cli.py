@@ -95,7 +95,7 @@ def test_compute_levels_zero_equals_baseline_plus_repairs(pair, tmp_path):
     engine = CostEngine(left, right, block=5, d_max=6)
     full_d, full_c = match_coarsest(engine)
     np.testing.assert_array_equal(base_d, full_d)
-    d1, c1, _ = refine_level(engine, base_d, base_c, 0.9)
+    d1, c1 = refine_level(engine, base_d, base_c, 0.9)
     expected = selective_median(d1, c1, 0.9)
     np.testing.assert_array_equal(got, expected)
 

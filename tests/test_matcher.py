@@ -21,6 +21,7 @@ from pyrstereo import (
     ConfigError,
     CostEngine,
     MatchConfig,
+    baseline_bm,
     build_pyramid,
     interior_mask,
     match_coarsest,
@@ -63,7 +64,7 @@ def test_match_coarsest_identical_pair():
     interior = np.s_[1:-1, 1:-1]
     assert np.all(disparity[interior] == 0)
     np.testing.assert_allclose(cost[interior], 1.0, atol=1e-9)
-    assert engine.counter.count == 12 * 16 * 6
+    assert engine.count == 12 * 16 * 6
 
 
 def test_match_coarsest_equals_brute_force():
@@ -75,7 +76,7 @@ def test_match_coarsest_equals_brute_force():
         expected_d, expected_c, evals = loop_full_search(left, right, 6, 5)
         np.testing.assert_array_equal(disparity, expected_d)
         np.testing.assert_allclose(cost, expected_c, atol=1e-9)
-        assert evals == engine.counter.count
+        assert evals == engine.count
 
 
 def _volume_argmax(volume):
@@ -138,7 +139,7 @@ def test_refine_keeps_confident_pixels_bit_identical():
     left, right = shifted_pair(16, 24, 2, rng, cutoff=0.15)
     engine = CostEngine(left, right, block=3, d_max=5)
     disparity, cost = match_coarsest(engine)
-    refined_d, refined_c, _ = refine_level(engine, disparity, cost, alpha=0.9)
+    refined_d, refined_c = refine_level(engine, disparity, cost, alpha=0.9)
     keep = cost > 0.9
     np.testing.assert_array_equal(refined_d[keep], disparity[keep])
     np.testing.assert_array_equal(refined_c[keep], cost[keep])
@@ -150,10 +151,10 @@ def test_refine_noop_when_all_confident():
     engine = CostEngine(img, img, block=3, d_max=4)
     disparity = np.zeros((12, 18))
     cost = np.full((12, 18), 0.99)
-    refined_d, refined_c, _ = refine_level(engine, disparity, cost, alpha=0.9)
+    refined_d, refined_c = refine_level(engine, disparity, cost, alpha=0.9)
     np.testing.assert_array_equal(refined_d, disparity)
     np.testing.assert_array_equal(refined_c, cost)
-    assert engine.counter.count == 0
+    assert engine.count == 0
 
 
 def test_refine_repairs_bad_pixel_from_neighborhood():
@@ -167,93 +168,210 @@ def test_refine_repairs_bad_pixel_from_neighborhood():
     cost = cost.copy()
     disparity[8, 16] = 0.0
     cost[8, 16] = 0.1
-    cost[0, 0] = 0.1  # a corner pixel sums its clipped 2x2 neighborhood
-    refined_d, refined_c, _ = refine_level(engine, disparity, cost, alpha=0.9)
+    # Corner pixels sum their clipped 2x2 neighborhood, an edge pixel 2x3.
+    cost[0, 0] = cost[15, 31] = cost[15, 10] = 0.1
+    refined_d, refined_c = refine_level(engine, disparity, cost, alpha=0.9)
     assert refined_d[8, 16] == 4.0
     from oracles import naive_averaged_dsi
 
-    expected, members = naive_averaged_dsi(left, right, 8, 16, 1, 8)
-    assert members == 9
-    assert abs(refined_c[8, 16] - expected.max() / members) <= 1e-9
-    expected, members = naive_averaged_dsi(left, right, 0, 0, 1, 8)
-    assert members == 4
-    assert abs(refined_c[0, 0] - expected.max() / members) <= 1e-9
+    for (i, j), size in [((8, 16), 9), ((0, 0), 4), ((15, 31), 4), ((15, 10), 6)]:
+        expected, members = naive_averaged_dsi(left, right, i, j, 1, 8)
+        assert members == size
+        assert abs(refined_c[i, j] - expected.max() / members) <= 1e-9
 
 
-def _fallback_level():
-    """A level whose prior trusts about half the pixels, and its selection."""
+_NEIGHBORS = np.ones((3, 3), dtype=bool)
+
+
+def _fallback_prior():
+    """A level pair and a prior that trusts about half of its pixels."""
     rng = np.random.default_rng(31)
     left, right = shifted_pair(40, 56, 4, rng, cutoff=0.15)
     right = right + 0.05 * rng.standard_normal(right.shape)
     d_hat = np.full(left.shape, 4.0)
     c_hat = rng.uniform(0.5, 1.0, size=left.shape)
-    engine = CostEngine(left, right, block=5, d_max=10)
-    disparity, cost, stats = select_with_prior(engine, d_hat, c_hat, beta=0.75)
-    return left, right, engine, disparity, cost, stats
+    return left, right, d_hat, c_hat
 
 
 def test_refine_with_handed_vectors_is_bit_identical():
-    left, right, engine, disparity, cost, stats = _fallback_level()
-    fi, fj, vectors = stats.vectors
-    assert vectors.shape == (stats.full_search_pixels, 11)
-    assert 0 < stats.trusted < disparity.size
+    """The band pass refines on selection's vectors: the maps of the stages run alone."""
+    left, right, d_hat, c_hat = _fallback_prior()
+    engine = CostEngine(left, right, block=5, d_max=10)
+    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.75)
+    got_d, got_c = matcher._band_pass(engine, disparity, cost, trusted, stats, 0.9, {})
 
-    before = engine.counter.count
-    got_d, got_c, reused = refine_level(engine, disparity, cost, 0.9, stats.vectors)
-    evals_with = engine.counter.count - before
     fresh = CostEngine(left, right, block=5, d_max=10)
-    want_d, want_c, want_reused = refine_level(fresh, disparity, cost, 0.9)
+    sel_d, sel_c, sel_stats = select_with_prior(fresh, d_hat, c_hat, beta=0.75)
+    np.testing.assert_array_equal(disparity, sel_d)
+    np.testing.assert_array_equal(cost, sel_c)
+    assert stats == sel_stats
+    assert 0 < stats.trusted < disparity.size
+    want_d, want_c = refine_level(fresh, sel_d, sel_c, 0.9)
     np.testing.assert_array_equal(got_d, want_d)
     np.testing.assert_array_equal(got_c, want_c)
 
-    # Reused: the handed vectors inside the 3x3-dilated low set, not counted.
-    needed = binary_dilation(cost <= 0.9, structure=np.ones((3, 3), dtype=bool))
-    assert want_reused == 0
-    assert reused == np.count_nonzero(needed[fi, fj]) > 0
-    assert fresh.counter.count - evals_with == reused * 11
+    # Read, not computed again: the untrusted vectors in the 3x3-dilated low set.
+    needed = binary_dilation(sel_c <= 0.9, structure=_NEIGHBORS)
+    reused = np.count_nonzero(needed & ~trusted)
+    assert reused > 0
+    assert fresh.count - engine.count == reused * 11
 
 
-def test_pipeline_refine_reuse_is_exact(monkeypatch):
+def _staged_pipeline(left, right, config):
+    """run_pipeline's levels from the public stages, each run alone.
+
+    Per level, coarsest first: the maps refine returns, the median's
+    output, and the level's selection stats, refine count and the size of
+    the 3x3-dilated low set.
+    """
+    levels = []
+    disparity = cost = None
+    for level in reversed(build_pyramid(left, right, config.d_max, levels=config.levels,
+                                        base_block=config.block)):
+        engine = CostEngine(level.left, level.right, level.block, level.d_max,
+                            sign=config.sign)
+        if disparity is None:
+            d_hat = c_hat = np.full(level.shape, np.nan)
+        else:
+            d_hat, c_hat = upsample_prior(disparity, cost, level.shape)
+        sel_d, sel_c, stats = select_with_prior(engine, d_hat, c_hat, config.beta)
+        disparity, cost = refine_level(engine, sel_d, sel_c, config.alpha)
+        filtered = selective_median(disparity, cost, config.alpha)
+        needed = binary_dilation(sel_c <= config.alpha, structure=_NEIGHBORS)
+        levels.append({"maps": (disparity, cost, filtered), "stats": stats,
+                       "refine_evals": engine.count - stats.selection_evals,
+                       "needed": int(np.count_nonzero(needed))})
+        disparity = filtered
+    return disparity, cost, levels
+
+
+def _recorded_pipeline(left, right, config):
+    """run_pipeline, with the maps each level hands to the median and gets back."""
+    seen = []
+
+    def median(disparity, cost, alpha):
+        filtered = selective_median(disparity, cost, alpha)
+        seen.append((disparity, cost, filtered))
+        return filtered
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matcher, "selective_median", median)
+        disparity, cost, trace = run_pipeline(left, right, config)
+    return disparity, cost, trace, seen
+
+
+def test_pipeline_refine_reuse_is_exact():
     rng = np.random.default_rng(32)
     left, right = shifted_pair(96, 128, 6, rng, cutoff=0.05)
     right = right + 0.1 * rng.standard_normal(right.shape)
     config = MatchConfig(d_max=24, levels=2, block=7)
     got_d, got_c, got = run_pipeline(left, right, config)
-
-    recompute = matcher.refine_level
-    monkeypatch.setattr(matcher, "refine_level",
-                        lambda engine, d, c, alpha, vectors=None: recompute(engine, d, c, alpha))
-    want_d, want_c, want = run_pipeline(left, right, config)
+    want_d, want_c, want = _staged_pipeline(left, right, config)
     np.testing.assert_array_equal(got_d, want_d)
     np.testing.assert_array_equal(got_c, want_c)
-    assert got.levels[0].refine_reused == 0  # the coarsest level searches by planes
-    assert sum(lt.refine_reused for lt in got.levels) > 0
-    for a, b in zip(got.levels, want.levels):
-        assert b.refine_reused == 0
+
+    # The coarsest level's selection computed every vector its refine reads.
+    assert got.levels[0].refine_evals == 0
+    assert got.levels[0].refine_reused == want[0]["needed"] > 0
+    for a, b in zip(got.levels, want):
         assert a.refine_reused <= a.full_search_pixels
-        assert b.refine_evals - a.refine_evals == a.refine_reused * (a.d_max + 1)
+        assert b["refine_evals"] == b["needed"] * (a.d_max + 1)
+        assert b["refine_evals"] - a.refine_evals == a.refine_reused * (a.d_max + 1)
         assert a.to_dict()["refine_reused"] == a.refine_reused
-    assert want.total_evals - got.total_evals == sum(
-        lt.refine_reused * (lt.d_max + 1) for lt in got.levels)
+    assert sum(b["refine_evals"] for b in want) - sum(a.refine_evals for a in got.levels) \
+        == sum(lt.refine_reused * (lt.d_max + 1) for lt in got.levels)
 
 
-def test_refine_peak_is_one_vector_store():
-    """Refine holds the needed cost vectors once, plus bounded scratch."""
+@st.composite
+def _banded_inputs(draw):
+    levels = draw(st.integers(0, 2))
+    height = draw(st.integers(24, 56))
+    width = draw(st.integers(24, 64))
+    d_max = draw(st.integers(2 << levels, 16))
+    shift = draw(st.integers(0, d_max // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, right = shifted_pair(height, width, shift, rng, cutoff=0.15)
+    right = right + draw(st.sampled_from([0.0, 0.05, 0.2])) * rng.standard_normal(right.shape)
+    # Bands of 1, 2 or an odd number of rows at level 0; coarser levels get
+    # other heights from the same budget.
+    rows = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    return left, right, MatchConfig(d_max=d_max, levels=levels, block=5), rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_banded_inputs())
+def test_band_pass_equals_stages_at_any_band_height(inputs):
+    left, right, config, rows = inputs
+    # The stages alone, each level in one band: these levels fit the budget.
+    want_d, want_c, want = _staged_pipeline(left, right, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matcher, "_BAND_ENTRIES", rows * left.shape[1] * (config.d_max + 1))
+        patch.setattr(matcher, "_BAND_MIN_ROWS", 1)
+        got_d, got_c, trace, seen = _recorded_pipeline(left, right, config)
+    np.testing.assert_array_equal(got_d, want_d)
+    np.testing.assert_array_equal(got_c, want_c)
+    assert len(seen) == len(want) == len(trace.levels)
+    for maps, b, lt in zip(seen, want, trace.levels):
+        for x, y in zip(maps, b["maps"]):
+            np.testing.assert_array_equal(x, y)
+        for name in ("trusted", "trusted_evals", "trusted_window_max",
+                     "full_search_pixels", "selection_evals"):
+            assert getattr(lt, name) == getattr(b["stats"], name)
+        assert lt.refine_evals == (b["needed"] - lt.refine_reused) * (lt.d_max + 1)
+
+
+def test_flat_pipeline_counts_one_full_search():
+    """levels=0 computes every vector once: refine reads what selection computed."""
+    rng = np.random.default_rng(36)
+    left, right = shifted_pair(48, 64, 3, rng, cutoff=0.15)
+    right = right + 0.2 * rng.standard_normal(right.shape)
+    _, _, trace = run_pipeline(left, right, MatchConfig(d_max=12, levels=0, block=5))
+    (lt,) = trace.levels
+    assert lt.refined > 0
+    assert lt.refine_evals == 0 and lt.refine_reused > 0
+    assert trace.total_evals == 48 * 64 * 13
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_untrusted_pair_peak_stays_near_block_matching():
+    """With nothing to trust, the hierarchy keeps block matching's footprint."""
+    rng = np.random.default_rng(37)
+    left, right = rng.random((375, 450)), rng.random((375, 450))
+    peak = _traced_peak(lambda: run_pipeline(left, right, MatchConfig(d_max=64)))
+    bm_peak = _traced_peak(lambda: baseline_bm(left, right, 64, 11))
+    # A whole level's vectors, or every low pixel's median window at once,
+    # took eight times the baseline.
+    assert peak < 4 * bm_peak
+
+
+def test_refine_peak_is_one_vector_store(monkeypatch):
+    """Refine holds three bands of cost vectors, plus bounded scratch."""
     rng = np.random.default_rng(30)
     h, w, d_max = 200, 240, 32
     engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=5, d_max=d_max)
     disparity = np.zeros((h, w))
     cost = np.zeros((h, w))  # every pixel is low, so every vector is needed
     store = h * w * (d_max + 1) * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        refine_level(engine, disparity, cost, alpha=0.9)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # Summing all neighbors at once held four such stores.
-    assert peak < 2 * store
+    scratch = 4 * matcher._REFINE_CHUNK * (d_max + 1) * 8
+    # The default band, nearly a third of the level here, and 8-row bands.
+    monkeypatch.setattr(matcher, "_BAND_MIN_ROWS", 1)
+    for budget in (matcher._BAND_ENTRIES, 8 * w * (d_max + 1)):
+        monkeypatch.setattr(matcher, "_BAND_ENTRIES", budget)
+        slab = min(budget // (w * (d_max + 1)), h) * w * (d_max + 1) * 8
+        peak = _traced_peak(lambda: refine_level(engine, disparity, cost, alpha=0.9))
+        # Summing all neighbors at once held four such stores.
+        assert peak < 2 * store
+        # The ring's three bands, one band's vectors on their way in, scratch.
+        assert peak < 4.5 * slab + scratch
 
 
 def test_package_exports_matcher_api():
@@ -280,8 +398,8 @@ def test_refine_is_idempotent():
     left, right = shifted_pair(20, 28, 3, rng, cutoff=0.3)
     engine = CostEngine(left, right, block=3, d_max=6)
     disparity, cost = match_coarsest(engine)
-    once_d, once_c, _ = refine_level(engine, disparity, cost, alpha=0.9)
-    twice_d, twice_c, _ = refine_level(engine, once_d, once_c, alpha=0.9)
+    once_d, once_c = refine_level(engine, disparity, cost, alpha=0.9)
+    twice_d, twice_c = refine_level(engine, once_d, once_c, alpha=0.9)
     # Pixels whose stored cost did not cross alpha are reprocessed from the
     # same image content, so a second pass changes nothing.
     crossed = (once_c > 0.9) != (cost > 0.9)
@@ -408,18 +526,20 @@ def test_prior_guided_search_invalid_prior_falls_back():
 
 
 def test_select_without_prior_is_full_search():
+    """A NaN prior, the coarsest level's, trusts nothing: a full search."""
     rng = np.random.default_rng(14)
     left, right = rng.random((15, 19)), rng.random((15, 19))
     engine = CostEngine(left, right, block=3, d_max=7)
-    disparity, cost, stats = select_with_prior(engine, None, None, beta=0.9)
+    nan = np.full((15, 19), np.nan)
+    disparity, cost, stats = select_with_prior(engine, nan, nan, beta=0.9)
     expected_d, expected_c = match_coarsest(CostEngine(left, right, block=3, d_max=7))
     np.testing.assert_array_equal(disparity, expected_d)
     np.testing.assert_array_equal(cost, expected_c)
     assert stats.trusted == 0
     assert stats.full_search_pixels == 15 * 19
-    assert stats.selection_evals == engine.counter.count == 15 * 19 * 8
+    assert stats.selection_evals == engine.count == 15 * 19 * 8
     with pytest.raises(ValueError):
-        select_with_prior(engine, None, np.zeros((15, 19)), beta=0.9)
+        select_with_prior(engine, nan, np.zeros((15, 18)), beta=0.9)
 
 
 def test_match_level_with_prior_composes_stages():
@@ -432,11 +552,11 @@ def test_match_level_with_prior_composes_stages():
     c_hat = np.full((20, 30), -1.0)
 
     got_d, got_c, _ = select_with_prior(engine_a, d_hat, c_hat, beta)
-    got_d, got_c, _ = refine_level(engine_a, got_d, got_c, alpha)
+    got_d, got_c = refine_level(engine_a, got_d, got_c, alpha)
     got_d = selective_median(got_d, got_c, alpha)
 
     d0, c0 = match_coarsest(engine_b)
-    d1, c1, _ = refine_level(engine_b, d0, c0, alpha)
+    d1, c1 = refine_level(engine_b, d0, c0, alpha)
     expected_d = selective_median(d1, c1, alpha)
     np.testing.assert_array_equal(got_d, expected_d)
     np.testing.assert_allclose(got_c, c1, atol=1e-9)
@@ -500,7 +620,7 @@ def test_pipeline_k0_equals_full_search_plus_repairs():
 
     engine = CostEngine(left, right, block=3, d_max=6)
     d0, c0 = match_coarsest(engine)
-    d1, c1, _ = refine_level(engine, d0, c0, config.alpha)
+    d1, c1 = refine_level(engine, d0, c0, config.alpha)
     expected_d = selective_median(d1, c1, config.alpha)
     np.testing.assert_array_equal(got_d, expected_d)
     np.testing.assert_allclose(got_c, c1, atol=1e-12)

@@ -94,6 +94,11 @@ def test_build_pyramid_validates_inputs():
     for shape in [(8, 8, 3), (8,)]:
         with pytest.raises(ValueError, match="expected 2-D grayscale arrays"):
             build_pyramid(np.zeros(shape), np.zeros(shape), d_max=4)
+    # Non-integer sizes fail the same way, not with a TypeError from ">>".
+    for kwargs in [{"d_max": 8.5}, {"d_max": 8, "levels": 1.5},
+                   {"d_max": 8, "base_block": 11.0}]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_pyramid(np.zeros((64, 64)), np.zeros((64, 64)), **kwargs)
 
 
 def test_auto_levels_examples():

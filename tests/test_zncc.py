@@ -1,6 +1,4 @@
-"""ZNCC cost, cost-engine and counter tests."""
-
-import threading
+"""ZNCC cost, cost-engine and evaluation-count tests."""
 
 import numpy as np
 import pytest
@@ -17,7 +15,7 @@ from pyrstereo import (
     shifted_pair,
 )
 from pyrstereo.cli import EXIT_CONFIG, main
-from pyrstereo.zncc import _GATHER_CHUNK, _REACH, EvalCounter
+from pyrstereo.zncc import _GATHER_CHUNK, _REACH
 
 
 def _random_images(rng, h=9, w=9):
@@ -167,7 +165,7 @@ def test_dsi_rows_matches_naive_vectors(request):
     engine = CostEngine(left, right, block=block, d_max=d_max, sign=sign)
     got = engine.dsi_rows(rows, cols)
     assert got.shape == (rows.shape[0], d_max + 1)
-    assert engine.counter.count == rows.shape[0] * (d_max + 1)
+    assert engine.count == rows.shape[0] * (d_max + 1)
     for k, (i, j) in enumerate(zip(rows, cols)):
         expected = naive_dsi_vector(left, right, i, j, block // 2, d_max, sign=sign)
         np.testing.assert_allclose(got[k], expected, rtol=0, atol=1e-9)
@@ -199,7 +197,7 @@ def test_window_matches_naive_costs(request):
             expected = naive_cost(left, right, i, j, z, block // 2, sign=sign)
             assert abs(got[k, m] - expected) <= 1e-9
     # Entries outside [0, d_max] follow the cost rule but are not counted.
-    assert engine.counter.count == legal
+    assert engine.count == legal
     # Every path gives the same bits for the same entry.
     full = engine.dsi_rows(rows, cols)
     for z in range(d_max + 1):
@@ -238,7 +236,7 @@ def test_window_rejects_reach_beyond_padding():
     for z0, nz in [(-_REACH - 1, 3), (4, 3 + _REACH), (0, 0)]:
         with pytest.raises(ValueError):
             engine.window(np.array([2]), np.array([3]), z0, nz)
-    assert engine.counter.count == 0
+    assert engine.count == 0
 
 
 @pytest.mark.parametrize("sign", ["middlebury", "paper"])
@@ -285,7 +283,7 @@ def test_dsi_rows_vector_independent_of_request(sign):
     pixels = rng.permutation(height * width)
     rows, cols = np.divmod(pixels, width)
     whole = engine.dsi_rows(rows, cols)
-    assert engine.counter.count == height * width * 7
+    assert engine.count == height * width * 7
 
     subset = rng.choice(pixels.shape[0], size=300, replace=False)
     part = engine.dsi_rows(rows[subset], cols[subset])
@@ -293,7 +291,7 @@ def test_dsi_rows_vector_independent_of_request(sign):
     for k in subset[:5]:
         np.testing.assert_array_equal(engine.dsi_rows(rows[k:k + 1], cols[k:k + 1])[0],
                                       whole[k])
-    assert engine.counter.count == (height * width + 300 + 5) * 7
+    assert engine.count == (height * width + 300 + 5) * 7
 
 
 def test_costs_stay_in_range():
@@ -309,30 +307,14 @@ def test_counter_counts_every_entry():
     rng = np.random.default_rng(12)
     left, right = _random_images(rng, 8, 8)
     engine = CostEngine(left, right, block=3, d_max=4)
-    counter = engine.counter
     engine.plane(0)
-    assert counter.count == 64
+    assert engine.count == 64
     engine.window(np.array([1, 2, 3]), np.array([1, 2, 3]), np.array([0, 1, 2]), 1)
-    assert counter.count == 64 + 3
+    assert engine.count == 64 + 3
     engine.dsi_rows(np.array([1]), np.array([2]))
-    assert counter.count == 64 + 3 + 5
+    assert engine.count == 64 + 3 + 5
     engine.window(np.array([0]), np.array([0]), 0, 1)
-    assert counter.count == 64 + 3 + 5 + 1
-
-
-def test_counter_thread_safety():
-    counter = EvalCounter()
-
-    def hammer():
-        for _ in range(10000):
-            counter.add(1)
-
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert counter.count == 80000
+    assert engine.count == 64 + 3 + 5 + 1
 
 
 def test_identical_neighbor_vectors_keep_argmax():
