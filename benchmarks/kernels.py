@@ -1,0 +1,138 @@
+"""Per-path timings of the cost engine, in nanoseconds per cost entry.
+
+    python3 benchmarks/kernels.py [--size 375x450x64 ...] [--seed 103] [--levels K] [--repeats 9]
+
+Run from the repository root; the package is imported from ``src/`` of
+this checkout and the scenes from ``stereobench/scenes.py``.  For each
+size (height x width x d_max) one layered scene is matched by
+``run_pipeline`` and the level-0 engine's requests are recorded.  Three
+paths are then timed on that engine, one after the other in each repeat:
+
+- ``plane``: every plane 0..d_max;
+- ``window nz=3``: the trusted three-candidate windows that ``run_pipeline``
+  asks for at level 0;
+- ``dsi_rows``: full vectors of every other pixel, the fallback request.
+
+Before timing, the three paths must agree bit for bit on every entry they
+share.  Each row prints the median and quartiles over the repeats of
+seconds divided by entries computed (pixels times window length, counted
+or not).  The last line is one JSON object with the same figures.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One thread per process, as in stereobench/run.py.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "stereobench"))
+
+import scenes  # noqa: E402
+from pyrstereo import MatchConfig, matcher, run_pipeline  # noqa: E402
+
+DEFAULT_SIZES = ("375x450x64", "88x128x12")  # the layered and the CLI workloads' scenes
+
+
+def level0_requests(scene, config):
+    """The level-0 engine, its trusted windows (rows, cols, z0) and the other pixels."""
+    seen = []
+    select = matcher._select_trusted
+
+    def recording(engine, d_hat, c_hat, beta):
+        result = select(engine, d_hat, c_hat, beta)
+        seen.append((engine, d_hat, result[2]))
+        return result
+
+    matcher._select_trusted = recording
+    try:
+        run_pipeline(scene.left, scene.right, config)
+    finally:
+        matcher._select_trusted = select
+    engine, d_hat, trusted = seen[-1]  # level 0 is matched last
+    ti, tj = np.nonzero(trusted)
+    # The window around each trusted pixel's prior, as selection asks for it.
+    z0 = d_hat[ti, tj].astype(np.intp) - 1
+    return engine, (ti, tj, z0), np.nonzero(~trusted)
+
+
+def check_agreement(engine, trusted, fallback) -> None:
+    """Every path gives the same bits for every entry it shares with a plane."""
+    ti, tj, z0 = trusted
+    windows = engine.window(ti, tj, z0, 3)
+    vectors = engine.dsi_rows(*fallback)
+    for z in range(engine.d_max + 1):
+        plane = engine.plane(z)
+        if not np.array_equal(plane[fallback], vectors[:, z]):
+            raise AssertionError(f"dsi_rows differs from plane {z}")
+        for m in range(3):
+            at = z0 + m == z
+            if not np.array_equal(plane[ti[at], tj[at]], windows[at, m]):
+                raise AssertionError(f"window entry {m} differs from plane {z}")
+
+
+def time_paths(engine, trusted, fallback, repeats: int) -> dict:
+    """ns per computed entry of each path, alternating paths in every repeat."""
+    nz = engine.d_max + 1
+    paths = {
+        "plane": (lambda: [engine.plane(z) for z in range(nz)],
+                  engine.height * engine.width * nz),
+        "window nz=3": (lambda: engine.window(*trusted, 3), trusted[0].size * 3),
+        f"dsi_rows nz={nz}": (lambda: engine.dsi_rows(*fallback), fallback[0].size * nz),
+    }
+    samples = {name: [] for name, (_, entries) in paths.items() if entries}
+    for _ in range(repeats):
+        for name in samples:
+            run, entries = paths[name]
+            t0 = time.perf_counter()
+            run()
+            samples[name].append((time.perf_counter() - t0) * 1e9 / entries)
+    return {name: {"entries": paths[name][1],
+                   "ns_per_entry": [float(q) for q in np.percentile(ns, [50, 25, 75])]}
+            for name, ns in samples.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--size", action="append", default=None,
+                        help="HxWxD_MAX of a scene (repeatable; default: "
+                             + ", ".join(DEFAULT_SIZES) + ")")
+    parser.add_argument("--seed", type=int, default=103, help="scene seed")
+    parser.add_argument("--levels", type=int, default=None,
+                        help="pyramid halvings (default: automatic, as run_pipeline)")
+    parser.add_argument("--repeats", type=int, default=9)
+    args = parser.parse_args(argv)
+
+    report = {}
+    for size in args.size or DEFAULT_SIZES:
+        height, width, d_max = (int(v) for v in size.split("x"))
+        scene = scenes.make_scene(scenes.scene_seeds(args.seed, 1)[0], height, width, d_max)
+        config = MatchConfig(d_max=d_max, levels=args.levels)
+        engine, trusted, fallback = level0_requests(scene, config)
+        check_agreement(engine, trusted, fallback)
+        rows = time_paths(engine, trusted, fallback, args.repeats)
+        report[size] = rows
+        print(f"{size} seed {args.seed}: {trusted[0].size} trusted, "
+              f"{fallback[0].size} fallback pixels at level 0")
+        for name, row in rows.items():
+            median, q1, q3 = row["ns_per_entry"]
+            print(f"  {name:<14} {median:8.1f} ns/entry [{q1:.1f}, {q3:.1f}]  "
+                  f"{row['entries']} entries")
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

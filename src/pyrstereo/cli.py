@@ -11,6 +11,7 @@ file, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -362,6 +363,7 @@ def _bench_table(rows: list[dict], average: dict) -> str:
     return "".join(lines)
 
 
+@functools.cache  # built on the first main(), not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pyrstereo",

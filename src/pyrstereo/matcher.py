@@ -98,12 +98,21 @@ class MatchConfig:
 
 @dataclass
 class SelectionStats:
-    """Bookkeeping of one prior-guided selection pass."""
+    """Bookkeeping of one prior-guided selection pass.
+
+    Each full-search pixel has one reason: its prior disparity is not
+    finite (``fallback_nan_prior``), else its prior cost is at most
+    ``beta`` or NaN (``fallback_low_prior``), else no candidate of its
+    window lies in [0, d_max] (``fallback_out_of_range``).
+    """
 
     trusted: int = 0
     trusted_evals: int = 0
     trusted_window_max: int = 0
     full_search_pixels: int = 0
+    fallback_nan_prior: int = 0
+    fallback_low_prior: int = 0
+    fallback_out_of_range: int = 0
     selection_evals: int = 0
 
 
@@ -120,6 +129,9 @@ class LevelTrace:
     trusted_evals: int
     trusted_window_max: int
     full_search_pixels: int
+    fallback_nan_prior: int
+    fallback_low_prior: int
+    fallback_out_of_range: int
     selection_evals: int
     refined: int
     refine_evals: int
@@ -248,11 +260,15 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
         raise ValueError("prior maps must match the level dimensions")
     finite = np.isfinite(d_hat)
     center = np.where(finite, d_hat, 0.0).astype(np.intp)
-    trusted = (c_hat > beta) & finite & (center + 1 >= 0) & (center - 1 <= d_max)
+    confident = finite & (c_hat > beta)
+    trusted = confident & (center + 1 >= 0) & (center - 1 <= d_max)
 
     disparity, cost = np.empty((h, w)), np.empty((h, w))
-    n = int(trusted.sum())
-    stats = SelectionStats(trusted=n, full_search_pixels=h * w - n)
+    n, n_finite, n_confident = (int(np.count_nonzero(m)) for m in (trusted, finite, confident))
+    stats = SelectionStats(trusted=n, full_search_pixels=h * w - n,
+                           fallback_nan_prior=h * w - n_finite,
+                           fallback_low_prior=n_finite - n_confident,
+                           fallback_out_of_range=n_confident - n)
     if n:
         before = engine.count
         ti, tj = np.nonzero(trusted)

@@ -1,6 +1,10 @@
 """Command-line frontend tests (driven through cli.main)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from pyrstereo import (
     shifted_pair,
     write_pgm,
 )
-from pyrstereo.cli import EXIT_CONFIG, EXIT_DECODE, EXIT_IO, main
+from pyrstereo.cli import EXIT_CONFIG, EXIT_DECODE, EXIT_IO, _build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -184,7 +190,8 @@ def test_serialised_key_sets(pair, tmp_path):
         assert set(level) == {
             "level", "height", "width", "d_max", "block", "pixels", "trusted",
             "trusted_fraction", "trusted_evals", "trusted_window_max",
-            "full_search_pixels", "selection_evals", "refined", "refine_evals",
+            "full_search_pixels", "fallback_nan_prior", "fallback_low_prior",
+            "fallback_out_of_range", "selection_evals", "refined", "refine_evals",
             "refine_reused", "median_replaced", "seconds",
         }
     manifest = json.loads((out / "manifest.json").read_text())
@@ -309,3 +316,14 @@ def test_bench_rejects_empty_dataset(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["bench", str(empty), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_parser_is_built_once():
+    # Every main() call reuses the first call's parser.
+    assert _build_parser() is _build_parser()
+    # Importing the CLI builds nothing.
+    code = ("import pyrstereo.cli as cli; "
+            "assert cli._build_parser.cache_info().currsize == 0")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                   check=True, timeout=60)

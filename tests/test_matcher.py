@@ -525,6 +525,24 @@ def test_prior_guided_search_invalid_prior_falls_back():
     assert np.isfinite(disparity).all()
 
 
+def test_fallback_reasons_are_counted_apart():
+    rng = np.random.default_rng(37)
+    left, right = rng.random((6, 10)), rng.random((6, 10))
+    engine = CostEngine(left, right, block=3, d_max=4)
+    d_hat = np.full((6, 10), 2.0)
+    c_hat = np.full((6, 10), 0.95)
+    d_hat[0, :3] = [np.nan, np.inf, -np.inf]  # not finite, whatever the cost
+    c_hat[0, 1] = 0.1
+    c_hat[1, :4] = [0.9, 0.5, np.nan, -1.0]  # at most beta, or NaN
+    d_hat[2, :5] = [-2.0, 6.0, 9.0, -1.0, 5.0]  # the first three leave [0, d_max]
+    _, _, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
+    assert stats.fallback_nan_prior == 3
+    assert stats.fallback_low_prior == 4
+    assert stats.fallback_out_of_range == 3
+    assert stats.full_search_pixels == 10 == 60 - int(trusted.sum())
+    assert stats.trusted == 50
+
+
 def test_select_without_prior_is_full_search():
     """A NaN prior, the coarsest level's, trusts nothing: a full search."""
     rng = np.random.default_rng(14)
@@ -637,6 +655,10 @@ def test_pipeline_trace_identity_and_ranges():
     assert np.all((disparity >= 0) & (disparity <= 16))
     assert cost.min() >= -1.0 and cost.max() <= 1.0
 
+    for lt in trace.levels:
+        assert (lt.fallback_nan_prior + lt.fallback_low_prior + lt.fallback_out_of_range
+                == lt.full_search_pixels)
+    assert trace.levels[0].fallback_nan_prior == trace.levels[0].pixels
     for lt in trace.levels[1:]:
         assert lt.selection_evals == lt.trusted_evals + lt.full_search_pixels * (lt.d_max + 1)
         assert lt.trusted + lt.full_search_pixels == lt.pixels

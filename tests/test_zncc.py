@@ -236,11 +236,24 @@ def test_window_rejects_reach_beyond_padding():
     for z0, nz in [(-_REACH - 1, 3), (4, 3 + _REACH), (0, 0)]:
         with pytest.raises(ValueError):
             engine.window(np.array([2]), np.array([3]), z0, nz)
+    # Flat indices would wrap or clip silently: pixels must lie in the level.
+    for i, j in [(-1, 3), (6, 3), (2, -1), (2, 8)]:
+        with pytest.raises(ValueError, match="outside"):
+            engine.window(np.array([i]), np.array([j]), 0, 3)
+    # An empty request, with a scalar or a per-pixel start, computes nothing.
+    empty = np.zeros(0, dtype=np.intp)
+    for nz in (1, 3, 5):
+        for z0 in (0, empty):
+            assert engine.window(empty, empty, z0, nz).shape == (0, nz)
+    assert engine.dsi_rows(empty, empty).shape == (0, 5)
     assert engine.count == 0
 
 
-@pytest.mark.parametrize("sign", ["middlebury", "paper"])
-def test_window_independent_of_request(sign):
+# Kernel chunks of 1, 7 and 64 entries split (column, z0) runs.
+SPLITTING_CHUNKS = (1, 7, 64)
+
+
+def _window_bits(sign):
     # Three-candidate windows, more than one pass of the kernel, starts
     # shared by vertical neighbors as an upsampled prior gives them.
     rng = np.random.default_rng(21)
@@ -270,10 +283,18 @@ def test_window_independent_of_request(sign):
         np.testing.assert_array_equal(
             engine.window(rows[subset][legal], cols[subset][legal], z[legal], 1)[:, 0],
             whole[subset][legal, m])
+    return whole
 
 
 @pytest.mark.parametrize("sign", ["middlebury", "paper"])
-def test_dsi_rows_vector_independent_of_request(sign):
+def test_window_independent_of_request(sign, monkeypatch):
+    whole = _window_bits(sign)
+    for chunk in SPLITTING_CHUNKS:
+        monkeypatch.setattr("pyrstereo.zncc._GATHER_CHUNK", chunk)
+        np.testing.assert_array_equal(_window_bits(sign), whole)
+
+
+def _dsi_rows_bits(sign):
     # More pixels than one chunk of the row-shared kernel holds.
     rng = np.random.default_rng(19)
     width = 64
@@ -292,6 +313,15 @@ def test_dsi_rows_vector_independent_of_request(sign):
         np.testing.assert_array_equal(engine.dsi_rows(rows[k:k + 1], cols[k:k + 1])[0],
                                       whole[k])
     assert engine.count == (height * width + 300 + 5) * 7
+    return whole
+
+
+@pytest.mark.parametrize("sign", ["middlebury", "paper"])
+def test_dsi_rows_vector_independent_of_request(sign, monkeypatch):
+    whole = _dsi_rows_bits(sign)
+    for chunk in SPLITTING_CHUNKS:
+        monkeypatch.setattr("pyrstereo.zncc._GATHER_CHUNK", chunk)
+        np.testing.assert_array_equal(_dsi_rows_bits(sign), whole)
 
 
 def test_costs_stay_in_range():
