@@ -1,0 +1,135 @@
+"""Peak memory of the matcher per level and stage, against block matching.
+
+    python3 benchmarks/footprint.py [--size 375x450x64] [--seed 103] [--levels K]
+
+Run from the repository root; the package is imported from ``src/`` of
+this checkout and the scenes from ``stereobench/scenes.py``.  Two pairs of
+one size (height x width x d_max) are matched: one layered scene and two
+independent uniform-noise images, which leave almost nothing to trust.
+
+Each pair is matched by ``run_pipeline`` under ``tracemalloc``.  Per level
+and stage (upsample, trusted selection, band pass, median) a row prints
+the peak above that stage's start, in MiB.  Then the whole run's peak
+above its start is printed next to ``baseline_bm``'s on the same pair, and
+their ratio.  The last line is one JSON object with the same figures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "stereobench"))
+
+import scenes  # noqa: E402
+from pyrstereo import MatchConfig, baseline_bm, matcher, run_pipeline  # noqa: E402
+
+# The stages run_pipeline calls at every level, by their names in the matcher.
+STAGES = {"upsample": "upsample_prior", "trusted": "_select_trusted",
+          "band pass": "_band_pass", "median": "selective_median"}
+MIB = 2.0 ** 20
+
+
+class StagePeaks:
+    """Wraps each stage to record its peak above its start, in call order.
+
+    ``tracemalloc.reset_peak`` at a stage's start hides the peak reached
+    before it, so the largest peak seen is kept for the whole run.
+    """
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, int]] = []  # (stage, peak bytes above its start)
+        self.highest = 0
+
+    def wrap(self, stage: str, fn):
+        def staged(*args, **kwargs):
+            start, peak = tracemalloc.get_traced_memory()
+            self.highest = max(self.highest, peak)
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                self.highest = max(self.highest, peak)
+                self.calls.append((stage, peak - start))
+        return staged
+
+    def run(self, call) -> tuple[object, float]:
+        """``call()``'s result and its peak above its start, in bytes."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            self.highest = 0
+            result = call()
+            self.highest = max(self.highest, tracemalloc.get_traced_memory()[1])
+            return result, self.highest - base
+        finally:
+            tracemalloc.stop()
+
+
+def pipeline_footprint(left, right, config) -> dict:
+    """Per-level stage peaks and the whole run's peak, in MiB."""
+    peaks = StagePeaks()
+    saved = {name: getattr(matcher, name) for name in STAGES.values()}
+    try:
+        for stage, name in STAGES.items():
+            setattr(matcher, name, peaks.wrap(stage, saved[name]))
+        (_, _, trace), total = peaks.run(lambda: run_pipeline(left, right, config))
+    finally:
+        for name, fn in saved.items():
+            setattr(matcher, name, fn)
+    # Levels run coarsest first, and each one ends with its median.
+    levels = iter(trace.levels)
+    by_level, current = {}, {}
+    for stage, peak in peaks.calls:
+        current[stage] = peak / MIB
+        if stage == "median":
+            by_level[str(next(levels).level)] = current
+            current = {}
+    return {"levels": by_level, "run_pipeline_mib": total / MIB}
+
+
+def footprint(left, right, config) -> dict:
+    row = pipeline_footprint(left, right, config)
+    _, bm = StagePeaks().run(lambda: baseline_bm(left, right, config.d_max, config.block))
+    row["baseline_bm_mib"] = bm / MIB
+    row["ratio"] = row["run_pipeline_mib"] / row["baseline_bm_mib"]
+    return row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--size", default="375x450x64", help="HxWxD_MAX of both pairs")
+    parser.add_argument("--seed", type=int, default=103, help="scene and noise seed")
+    parser.add_argument("--levels", type=int, default=None,
+                        help="pyramid halvings (default: automatic, as run_pipeline)")
+    args = parser.parse_args(argv)
+
+    height, width, d_max = (int(v) for v in args.size.split("x"))
+    config = MatchConfig(d_max=d_max, levels=args.levels)
+    scene = scenes.make_scene(scenes.scene_seeds(args.seed, 1)[0], height, width, d_max)
+    rng = np.random.default_rng(args.seed)
+    pairs = {"layered": (scene.left, scene.right),
+             "noise": (rng.random((height, width)), rng.random((height, width)))}
+    report = {}
+    for name, (left, right) in pairs.items():
+        row = report[name] = footprint(left, right, config)
+        print(f"{name} {args.size} seed {args.seed}: peak above start, MiB")
+        for level, stages in row["levels"].items():
+            print(f"  level {level}  " + "  ".join(f"{s} {mib:6.2f}"
+                                                    for s, mib in stages.items()))
+        print(f"  run_pipeline {row['run_pipeline_mib']:.2f}  "
+              f"baseline_bm {row['baseline_bm_mib']:.2f}  ratio {row['ratio']:.2f}")
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

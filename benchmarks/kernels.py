@@ -10,7 +10,7 @@ paths are then timed on that engine, one after the other in each repeat:
 
 - ``plane``: every plane 0..d_max;
 - ``window nz=3``: the trusted three-candidate windows that ``run_pipeline``
-  asks for at level 0;
+  asks for at level 0, in the same row groups, one ``window`` call each;
 - ``dsi_rows``: full vectors of every other pixel, the fallback request.
 
 Before timing, the three paths must agree bit for bit on every entry they
@@ -47,7 +47,11 @@ DEFAULT_SIZES = ("375x450x64", "88x128x12")  # the layered and the CLI workloads
 
 
 def level0_requests(scene, config):
-    """The level-0 engine, its trusted windows (rows, cols, z0) and the other pixels."""
+    """The level-0 engine, its trusted windows and the other pixels.
+
+    The trusted windows are (rows, cols, z0) per row group, as selection
+    asks for them.
+    """
     seen = []
     select = matcher._select_trusted
 
@@ -62,25 +66,28 @@ def level0_requests(scene, config):
     finally:
         matcher._select_trusted = select
     engine, d_hat, trusted = seen[-1]  # level 0 is matched last
-    ti, tj = np.nonzero(trusted)
-    # The window around each trusted pixel's prior, as selection asks for it.
-    z0 = d_hat[ti, tj].astype(np.intp) - 1
-    return engine, (ti, tj, z0), np.nonzero(~trusted)
+    groups = []
+    for top, bottom in matcher._row_groups(trusted, matcher._TRUSTED_GROUP):
+        ti, tj = np.nonzero(trusted[top:bottom])
+        ti += top
+        # The window around each trusted pixel's prior.
+        groups.append((ti, tj, d_hat[ti, tj].astype(np.intp) - 1))
+    return engine, groups, np.nonzero(~trusted)
 
 
 def check_agreement(engine, trusted, fallback) -> None:
     """Every path gives the same bits for every entry it shares with a plane."""
-    ti, tj, z0 = trusted
-    windows = engine.window(ti, tj, z0, 3)
+    windows = [(ti, tj, z0, engine.window(ti, tj, z0, 3)) for ti, tj, z0 in trusted]
     vectors = engine.dsi_rows(*fallback)
     for z in range(engine.d_max + 1):
         plane = engine.plane(z)
         if not np.array_equal(plane[fallback], vectors[:, z]):
             raise AssertionError(f"dsi_rows differs from plane {z}")
-        for m in range(3):
-            at = z0 + m == z
-            if not np.array_equal(plane[ti[at], tj[at]], windows[at, m]):
-                raise AssertionError(f"window entry {m} differs from plane {z}")
+        for ti, tj, z0, costs in windows:
+            for m in range(3):
+                at = z0 + m == z
+                if not np.array_equal(plane[ti[at], tj[at]], costs[at, m]):
+                    raise AssertionError(f"window entry {m} differs from plane {z}")
 
 
 def time_paths(engine, trusted, fallback, repeats: int) -> dict:
@@ -89,7 +96,8 @@ def time_paths(engine, trusted, fallback, repeats: int) -> dict:
     paths = {
         "plane": (lambda: [engine.plane(z) for z in range(nz)],
                   engine.height * engine.width * nz),
-        "window nz=3": (lambda: engine.window(*trusted, 3), trusted[0].size * 3),
+        "window nz=3": (lambda: [engine.window(*group, 3) for group in trusted],
+                        3 * sum(group[0].size for group in trusted)),
         f"dsi_rows nz={nz}": (lambda: engine.dsi_rows(*fallback), fallback[0].size * nz),
     }
     samples = {name: [] for name, (_, entries) in paths.items() if entries}
@@ -124,8 +132,8 @@ def main(argv=None) -> int:
         check_agreement(engine, trusted, fallback)
         rows = time_paths(engine, trusted, fallback, args.repeats)
         report[size] = rows
-        print(f"{size} seed {args.seed}: {trusted[0].size} trusted, "
-              f"{fallback[0].size} fallback pixels at level 0")
+        print(f"{size} seed {args.seed}: {sum(group[0].size for group in trusted)} trusted "
+              f"in {len(trusted)} groups, {fallback[0].size} fallback pixels at level 0")
         for name, row in rows.items():
             median, q1, q3 = row["ns_per_entry"]
             print(f"  {name:<14} {median:8.1f} ns/entry [{q1:.1f}, {q3:.1f}]  "

@@ -13,7 +13,8 @@ whose prior is NaN).  Two repairs gated by ``alpha`` follow:
   in their 5x5 window.
 
 The full search and the re-selection walk a level in bands of rows, one
-band apart, so a level holds three bands of cost vectors at most.
+band apart, so a level holds the cost vectors of three bands at most, and
+of those only the vectors it computed, in a compact store.
 
 All maps are float64; disparities are integer-valued with NaN marking
 pixels that carry no usable value.  Stages never mutate their inputs.
@@ -54,6 +55,9 @@ _REFINE_CHUNK = 4096
 # recomputes most block rows of its planes and windows.
 _BAND_ENTRIES = 1 << 19
 _BAND_MIN_ROWS = 16
+# Trusted pixels per window call of the trusted selection; bounds the
+# call's scratch memory to a fraction of a level's maps.
+_TRUSTED_GROUP = 1 << 15
 
 
 class ConfigError(ValueError):
@@ -254,14 +258,14 @@ def select_with_prior(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray,
 
 def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, beta: float,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SelectionStats]:
-    """Maps set at the trusted pixels, by one window call; the mask; the stats."""
+    """Maps set at the trusted pixels, by window calls over row groups; the mask; the stats."""
     h, w, d_max = engine.height, engine.width, engine.d_max
     if d_hat.shape != (h, w) or c_hat.shape != (h, w):
         raise ValueError("prior maps must match the level dimensions")
     finite = np.isfinite(d_hat)
-    center = np.where(finite, d_hat, 0.0).astype(np.intp)
     confident = finite & (c_hat > beta)
-    trusted = confident & (center + 1 >= 0) & (center - 1 <= d_max)
+    # The window around int(d_hat) holds a legal candidate: -1 <= int(d_hat) <= d_max+1.
+    trusted = confident & (d_hat > -2) & (d_hat < d_max + 2)
 
     disparity, cost = np.empty((h, w)), np.empty((h, w))
     n, n_finite, n_confident = (int(np.count_nonzero(m)) for m in (trusted, finite, confident))
@@ -269,20 +273,41 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
                            fallback_nan_prior=h * w - n_finite,
                            fallback_low_prior=n_finite - n_confident,
                            fallback_out_of_range=n_confident - n)
-    if n:
-        before = engine.count
-        ti, tj = np.nonzero(trusted)
-        z0 = center[ti, tj] - 1
+    before = engine.count
+    for top, bottom in _row_groups(trusted, _TRUSTED_GROUP):
+        ti, tj = np.nonzero(trusted[top:bottom])
+        ti += top
+        z0 = d_hat[ti, tj].astype(np.intp) - 1
         costs = engine.window(ti, tj, z0, 3)
-        z = z0[:, np.newaxis] + np.arange(3)
-        legal = (z >= 0) & (z <= d_max)
-        costs[~legal] = -2.0  # below the floor: an illegal candidate never wins
-        pick = np.argmax(costs, axis=1)  # the first maximum: ties keep the smallest z
-        disparity[ti, tj] = (z0 + pick).astype(np.float64)
-        cost[ti, tj] = costs[np.arange(ti.shape[0]), pick]
-        stats.trusted_window_max = int(legal.sum(axis=1).max())
-        stats.trusted_evals = stats.selection_evals = engine.count - before
+        # The first legal maximum: strictly greater, in ascending z, so a tie
+        # keeps the smaller z.  A candidate outside [0, d_max] never wins:
+        # the first starts below the floor of -1, the others are masked.
+        best = np.where(z0 >= 0, costs[:, 0], -2.0)
+        pick = np.zeros(ti.shape[0], dtype=np.intp)
+        for k in (1, 2):
+            better = (costs[:, k] > best) & (z0 + k >= 0) & (z0 + k <= d_max)
+            np.copyto(best, costs[:, k], where=better)
+            np.copyto(pick, k, where=better)
+        disparity[ti, tj] = z0 + pick
+        cost[ti, tj] = best
+        legal = np.minimum(z0 + 2, d_max) - np.maximum(z0, 0) + 1
+        stats.trusted_window_max = max(stats.trusted_window_max, int(legal.max()))
+    stats.trusted_evals = stats.selection_evals = engine.count - before
     return disparity, cost, trusted, stats
+
+
+def _row_groups(mask: np.ndarray, limit: int):
+    """Row ranges that cover every set pixel of ``mask``, top to bottom.
+
+    Each range starts at a row with a set pixel and holds at most ``limit``
+    of them, unless that row alone holds more.
+    """
+    ends = np.cumsum(np.count_nonzero(mask, axis=1))
+    done = 0
+    while (top := int(np.searchsorted(ends, done, side="right"))) < mask.shape[0]:
+        bottom = max(int(np.searchsorted(ends, done + limit, side="right")), top + 1)
+        yield top, bottom
+        done = ends[bottom - 1]
 
 
 def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
@@ -291,47 +316,78 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     """Full search of the untrusted pixels and refine, a band of rows at a time.
 
     Band k is selected, then band k-1 refined, as its low pixels' 3x3
-    neighbors reach into bands k-2 and k; a ring holds the full cost vectors
-    of these three.  Selection fills the untrusted pixels of ``disparity``
-    and ``cost``, from planes over the band's rows if none of them is
-    trusted, else from the window kernel.  Refine (none if ``alpha`` is
-    None) writes the returned maps; it computes only the vectors missing
-    from the ring, by one ``dsi_rows`` call per band, and keeps them there.
+    neighbors reach into bands k-2 and k.  Selection fills the untrusted
+    pixels of ``disparity`` and ``cost``, from planes over the band's rows
+    if none of them is trusted, else from the window kernel.  Refine (none
+    if ``alpha`` is None) writes the returned maps; it computes only the
+    vectors that are missing, by one ``dsi_rows`` call per band.
+
+    Only computed vectors are kept: a compact store holds one arena per
+    band in flight, rows of d_max+1 costs, and a slot map over the rows in
+    flight points each pixel at its row.  A band's arena is sized before
+    the pass, for its untrusted pixels and the trusted ones within 3x3 of
+    an untrusted or low pixel, which covers every vector refine may add.
     ``stats`` gets the selection's entries and ``seconds`` refine's time.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
     band = min(h, max(_BAND_MIN_ROWS, _BAND_ENTRIES // (w * nz)))
     slots = min(3 * band, h)
-    # Vectors by ring row and padded column.  The border columns and the
-    # last row stay zero, so a neighbor outside the level adds zero.
-    ring = np.zeros((slots + 1, w + 2, nz))
-    have = ~trusted  # the pixels whose vectors the ring holds, or held
-    ring_row = np.append(np.arange(h) % slots, slots)  # rows -1 and h read the zero row
+    have = ~trusted  # the pixels whose vectors the store holds, or held
+    if alpha is None:
+        room = have
+    else:  # and the trusted pixels within 3x3 of one that may be low
+        room = ~trusted
+        np.less_equal(cost, alpha, out=room, where=trusted)
+        room = binary_dilation(room, np.ones((3, 3)))
+    counts = np.add.reduceat(np.count_nonzero(room, axis=1), np.arange(0, h, band))
+    del room
+    # Band k's vectors go to arena k % 3, which band k+3 reuses.
+    arena = np.cumsum([0] + [int(counts[a::3].max()) for a in range(min(3, counts.shape[0]))])
+    used = [0] * (arena.shape[0] - 1)
+    zero = int(arena[-1])  # the store's last row stays zero
+    store = np.empty((zero + 1, nz))
+    store[zero] = 0.0
+    # Store rows by row in flight (a ring over the level's rows) and padded
+    # column.  The border columns and the last row point at the zero row,
+    # so a neighbor outside the level adds zero.
+    slot = np.full((slots + 1, w + 2), zero, dtype=np.int32)
+    ring_row = np.append(np.arange(h) % slots, slots)  # rows -1 and h read the last row
+
+    def claim(i, j):
+        """Store rows for pixels (i, j) of one band, entered in the slot map."""
+        a = (i[0] // band) % 3
+        start = arena[a] + used[a]
+        used[a] += i.shape[0]
+        slot[ring_row[i], j + 1] = np.arange(start, start + i.shape[0])
+        return np.s_[start:start + i.shape[0]]
+
     new_d, new_c = np.empty((h, w)), np.empty((h, w))
     for top in range(0, h + band, band):  # the step past the end refines the last band
         if top < h:
             bottom = min(top + band, h)
+            used[(top // band) % 3] = 0  # band k-3's vectors are read no more
             full = ~trusted[top:bottom]
             before = engine.count
+            fi, fj = np.nonzero(full)
+            fi += top
             if full.all():
-                # One transposing copy: plane by plane touches each ring line nz times.
+                # One transposing copy: plane by plane touches each store row nz times.
                 planes = np.empty((nz, bottom - top, w))
                 for z, plane in enumerate(planes):
                     engine._rows(z, top, bottom, plane)
-                slab = ring[ring_row[top]:ring_row[top] + bottom - top, 1:w + 1]
+                slab = store[claim(fi, fj)].reshape(bottom - top, w, nz)
                 slab[...] = planes.transpose(1, 2, 0)
                 del planes
                 best = slab.argmax(axis=2)
                 disparity[top:bottom] = best
                 cost[top:bottom] = np.take_along_axis(slab, best[..., np.newaxis], 2)[..., 0]
-            elif full.any():
-                fi, fj = np.nonzero(full)
-                fi += top
+            elif fi.size:
                 vectors = engine.dsi_rows(fi, fj)
-                ring[ring_row[fi], fj + 1] = vectors
+                store[claim(fi, fj)] = vectors
                 best = np.argmax(vectors, axis=1)
                 disparity[fi, fj] = best
                 cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
+                del vectors
             stats.selection_evals += engine.count - before
             new_d[top:bottom], new_c[top:bottom] = disparity[top:bottom], cost[top:bottom]
         if alpha is None or top == 0:
@@ -345,7 +401,13 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         mi, mj = np.nonzero(binary_dilation(low, np.ones((3, 3))) & ~have[first:end])
         if mi.size:  # none are missing where the whole level was searched in full
             mi += first
-            ring[ring_row[mi], mj + 1] = engine.dsi_rows(mi, mj)
+            vectors = engine.dsi_rows(mi, mj)
+            # Rows first..end-1 span bands k-2 to k, each with its own arena.
+            for cut in range(first // band, (end - 1) // band + 1):
+                lo, hi = np.searchsorted(mi, (cut * band, (cut + 1) * band))
+                if hi > lo:
+                    store[claim(mi[lo:hi], mj[lo:hi])] = vectors[lo:hi]
+            del vectors
             have[mi, mj] = True
         li, lj = np.nonzero(low)
         li += first
@@ -355,7 +417,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             for di in (-1, 0, 1):
                 rows = ring_row[ci + di]
                 for dj in (0, 1, 2):
-                    summed += ring[rows, cj + dj]
+                    summed += store[slot[rows, cj + dj]]
             members = ((ci > 0) + 1 + (ci < h - 1)) * ((cj > 0) + 1 + (cj < w - 1))
             best = np.argmax(summed, axis=1)
             new_d[ci, cj] = best
@@ -438,6 +500,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
 
         t0 = time.perf_counter()
         disparity, cost, trusted, stats = _select_trusted(engine, d_hat, c_hat, config.beta)
+        del d_hat, c_hat  # the band pass reads only the selected maps
         new_d, new_c = _band_pass(engine, disparity, cost, trusted, stats, config.alpha,
                                   seconds)
         seconds["select"] = time.perf_counter() - t0 - seconds["refine"]

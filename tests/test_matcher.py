@@ -353,8 +353,47 @@ def test_untrusted_pair_peak_stays_near_block_matching():
     assert peak < 4 * bm_peak
 
 
+def test_layered_pair_peak_within_twice_block_matching():
+    """Where most pixels are trusted, the hierarchy keeps block matching's footprint."""
+    rng = np.random.default_rng(39)
+    left, right = shifted_pair(375, 450, 12, rng, cutoff=0.05)
+    right = right + 0.01 * rng.standard_normal(right.shape)
+    trace = []
+    peak = _traced_peak(lambda: trace.append(run_pipeline(left, right, MatchConfig(d_max=64))))
+    bm_peak = _traced_peak(lambda: baseline_bm(left, right, 64, 11))
+    assert trace[0][2].trust_fractions[-1] > 0.9
+    # A dense ring of three bands' vectors at level 0 took 2.3 times the baseline.
+    assert peak < 2 * bm_peak
+
+
+def test_band_store_scales_with_vectors_held():
+    """The band pass holds the vectors it computes, not three dense bands."""
+    rng = np.random.default_rng(40)
+    h, w, d_max = 200, 240, 32
+    nz = d_max + 1
+    left, right = shifted_pair(h, w, 6, rng, cutoff=0.15)
+    right = right + 0.005 * rng.standard_normal(right.shape)
+    engine = CostEngine(left, right, block=7, d_max=d_max)
+    d_hat, c_hat = np.full((h, w), 6.0), np.ones((h, w))
+    for i, j in zip(rng.integers(0, h - 6, 60), rng.integers(0, w - 6, 60)):
+        c_hat[i:i + 6, j:j + 6] = 0.0  # 6x6 patches of untrusted pixels
+    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
+    assert 0.03 < np.mean(~trusted) < 0.07
+    # Untrusted pixels, and trusted ones within 3x3 of one that may be low.
+    held = np.count_nonzero(binary_dilation(~trusted | (cost <= 0.9), _NEIGHBORS))
+    band = min(h, max(matcher._BAND_MIN_ROWS, matcher._BAND_ENTRIES // (w * nz)))
+    ring = 3 * band * w * nz * 8
+    peak = _traced_peak(lambda: matcher._band_pass(engine, disparity, cost, trusted, stats,
+                                                   0.9, {}))
+    # The store, one request's vectors on their way in, the returned maps
+    # and refine's neighbor sums.
+    bound = 2 * held * nz * 8 + 2 * h * w * 8 + 2 * matcher._REFINE_CHUNK * nz * 8
+    assert bound < ring / 2
+    assert peak < bound
+
+
 def test_refine_peak_is_one_vector_store(monkeypatch):
-    """Refine holds three bands of cost vectors, plus bounded scratch."""
+    """Where every pixel is low, refine holds three bands of vectors, plus scratch."""
     rng = np.random.default_rng(30)
     h, w, d_max = 200, 240, 32
     engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=5, d_max=d_max)
@@ -370,7 +409,7 @@ def test_refine_peak_is_one_vector_store(monkeypatch):
         peak = _traced_peak(lambda: refine_level(engine, disparity, cost, alpha=0.9))
         # Summing all neighbors at once held four such stores.
         assert peak < 2 * store
-        # The ring's three bands, one band's vectors on their way in, scratch.
+        # The store's three bands, one band's vectors on their way in, scratch.
         assert peak < 4.5 * slab + scratch
 
 
@@ -523,6 +562,40 @@ def test_prior_guided_search_invalid_prior_falls_back():
     assert stats.trusted == 0
     assert stats.full_search_pixels == 120
     assert np.isfinite(disparity).all()
+
+
+@pytest.mark.parametrize("group", [7, matcher._TRUSTED_GROUP])
+def test_trusted_pick_is_first_legal_maximum(monkeypatch, group):
+    """Each window keeps its first legal maximum, as a masked argmax does."""
+    monkeypatch.setattr(matcher, "_TRUSTED_GROUP", group)
+    rng = np.random.default_rng(38)
+    h, w, d_max = 12, 20, 6
+    engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=3, d_max=d_max)
+    # Centres 0 and d_max start windows at z0 = -1 and d_max - 1, with one
+    # candidate outside [0, d_max]; -1 and d_max + 1 leave two outside.
+    d_hat = rng.integers(-1, d_max + 2, size=(h, w)).astype(np.float64)
+    d_hat[:, 0], d_hat[:, 1] = 0.0, d_max
+    window = engine.window
+
+    def planted(rows, cols, z0, nz):
+        # Costs on a grid of three values tie most windows, illegal entries too.
+        return np.round(window(rows, cols, z0, nz))
+
+    monkeypatch.setattr(engine, "window", planted)
+    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, np.ones((h, w)),
+                                                              0.9)
+    assert trusted.all() and stats.trusted_window_max == 3
+    ti, tj = np.nonzero(trusted)
+    z0 = d_hat[ti, tj].astype(np.intp) - 1
+    z = z0[:, np.newaxis] + np.arange(3)
+    masked = np.where((z >= 0) & (z <= d_max), window(ti, tj, z0, 3).round(), -2.0)
+    pick = np.argmax(masked, axis=1)
+    np.testing.assert_array_equal(disparity[ti, tj], z0 + pick)
+    np.testing.assert_array_equal(cost[ti, tj], masked[np.arange(ti.shape[0]), pick])
+    # Ties among legal maxima, and windows at both ends of the range.
+    tied = (masked == masked.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert tied.sum() > h * w // 4
+    assert tied[z0 == -1].any() and tied[z0 == d_max - 1].any()
 
 
 def test_fallback_reasons_are_counted_apart():
