@@ -30,11 +30,9 @@ from .matcher import (
     LevelTrace,
     MatchConfig,
     PipelineTrace,
-    SelectionStats,
     match_coarsest,
     refine_level,
     run_pipeline,
-    select_with_prior,
     selective_median,
     upsample_prior,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "MissingKeyError",
     "PipelineTrace",
     "PyramidLevel",
-    "SelectionStats",
     "TruncatedPayloadError",
     "UnsupportedMaxvalError",
     "auto_levels",
@@ -82,7 +79,6 @@ __all__ = [
     "read_pnm",
     "refine_level",
     "run_pipeline",
-    "select_with_prior",
     "selective_median",
     "shifted_pair",
     "upsample_prior",

@@ -229,7 +229,8 @@ def cmd_eval(args) -> int:
     if args.trace is not None:
         with open(args.trace, "r", encoding="ascii") as fh:
             trace = json.load(fh)
-        report.total_evals = trace.get("total_evals")
+        # A baseline trace names its count "evals", as stereobench reads it.
+        report.total_evals = trace.get("total_evals", trace.get("evals"))
         if "levels" in trace:  # a baseline trace has none
             report.trust_fractions = tuple(lt["trusted_fraction"] for lt in trace["levels"])
 

@@ -296,7 +296,7 @@ def read_calib(path) -> CalibInfo:
         raise MissingKeyError("calib file lacks an ndisp entry")
     try:
         ndisp = int(float(entries["ndisp"]))
-    except ValueError:
+    except (ValueError, OverflowError):  # int(inf) overflows
         raise MalformedHeaderError(f"bad ndisp value {entries['ndisp']!r}") from None
     if ndisp < 1:
         raise MalformedHeaderError(f"ndisp must be >= 1, got {ndisp}")
@@ -306,7 +306,7 @@ def read_calib(path) -> CalibInfo:
             return None
         try:
             return int(float(entries[key]))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise MalformedHeaderError(f"bad {key} value {entries[key]!r}") from None
 
     return CalibInfo(ndisp=ndisp, width=_opt_int("width"), height=_opt_int("height"))

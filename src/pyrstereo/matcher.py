@@ -38,11 +38,9 @@ __all__ = [
     "MatchConfig",
     "LevelTrace",
     "PipelineTrace",
-    "SelectionStats",
     "match_coarsest",
     "refine_level",
     "upsample_prior",
-    "select_with_prior",
     "selective_median",
     "run_pipeline",
 ]
@@ -101,28 +99,14 @@ class MatchConfig:
 
 
 @dataclass
-class SelectionStats:
-    """Bookkeeping of one prior-guided selection pass.
+class LevelTrace:
+    """Exact per-level counters plus stage wall times.
 
     Each full-search pixel has one reason: its prior disparity is not
     finite (``fallback_nan_prior``), else its prior cost is at most
     ``beta`` or NaN (``fallback_low_prior``), else no candidate of its
     window lies in [0, d_max] (``fallback_out_of_range``).
     """
-
-    trusted: int = 0
-    trusted_evals: int = 0
-    trusted_window_max: int = 0
-    full_search_pixels: int = 0
-    fallback_nan_prior: int = 0
-    fallback_low_prior: int = 0
-    fallback_out_of_range: int = 0
-    selection_evals: int = 0
-
-
-@dataclass
-class LevelTrace:
-    """Exact per-level counters plus stage wall times."""
 
     level: int
     height: int
@@ -211,8 +195,7 @@ def refine_level(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     size, so it stays comparable to ``alpha`` at later gates.  This is the
     band pass with nothing left to select: it computes every needed vector.
     """
-    return _band_pass(engine, disparity, cost, np.ones(cost.shape, dtype=bool),
-                      SelectionStats(), alpha, {})
+    return _band_pass(engine, disparity, cost, np.ones(cost.shape, dtype=bool), alpha)[:2]
 
 
 def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
@@ -239,26 +222,15 @@ def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
     return d_hat, np.clip(c_hat, -1.0, 1.0)
 
 
-def select_with_prior(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray,
-                      beta: float) -> tuple[np.ndarray, np.ndarray, SelectionStats]:
-    """Disparity selection guided by an upsampled prior.
-
-    Pixels whose interpolated cost exceeds ``beta`` are evaluated only at
-    the candidates {d_hat-1, d_hat, d_hat+1} clipped to [0, d_max] (at most
-    three evaluations); all other pixels, including those whose prior is
-    NaN or leaves no legal candidate, get a full search.  Ties pick the
-    smallest disparity in both branches.  A prior that is NaN everywhere,
-    as the coarsest level's is, trusts no pixel.  This is the band pass
-    without refine.
-    """
-    disparity, cost, trusted, stats = _select_trusted(engine, d_hat, c_hat, beta)
-    _band_pass(engine, disparity, cost, trusted, stats, None, {})
-    return disparity, cost, stats
-
-
 def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, beta: float,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SelectionStats]:
-    """Maps set at the trusted pixels, by window calls over row groups; the mask; the stats."""
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Maps set at the trusted pixels, by window calls over row groups; the mask; the counts.
+
+    A pixel whose prior cost exceeds ``beta`` is searched at {d_hat-1, d_hat,
+    d_hat+1} within [0, d_max], a tie keeping the smaller disparity.  The
+    rest, a NaN prior's too, are left to the band pass.  The counts are keyed
+    by their LevelTrace fields.
+    """
     h, w, d_max = engine.height, engine.width, engine.d_max
     if d_hat.shape != (h, w) or c_hat.shape != (h, w):
         raise ValueError("prior maps must match the level dimensions")
@@ -268,12 +240,7 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
     trusted = confident & (d_hat > -2) & (d_hat < d_max + 2)
 
     disparity, cost = np.empty((h, w)), np.empty((h, w))
-    n, n_finite, n_confident = (int(np.count_nonzero(m)) for m in (trusted, finite, confident))
-    stats = SelectionStats(trusted=n, full_search_pixels=h * w - n,
-                           fallback_nan_prior=h * w - n_finite,
-                           fallback_low_prior=n_finite - n_confident,
-                           fallback_out_of_range=n_confident - n)
-    before = engine.count
+    window_max, before = 0, engine.count
     for top, bottom in _row_groups(trusted, _TRUSTED_GROUP):
         ti, tj = np.nonzero(trusted[top:bottom])
         ti += top
@@ -291,9 +258,12 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
         disparity[ti, tj] = z0 + pick
         cost[ti, tj] = best
         legal = np.minimum(z0 + 2, d_max) - np.maximum(z0, 0) + 1
-        stats.trusted_window_max = max(stats.trusted_window_max, int(legal.max()))
-    stats.trusted_evals = stats.selection_evals = engine.count - before
-    return disparity, cost, trusted, stats
+        window_max = max(window_max, int(legal.max()))
+    n, n_finite, n_confident = (int(np.count_nonzero(m)) for m in (trusted, finite, confident))
+    return disparity, cost, trusted, dict(
+        trusted=n, trusted_evals=engine.count - before, trusted_window_max=window_max,
+        full_search_pixels=h * w - n, fallback_nan_prior=h * w - n_finite,
+        fallback_low_prior=n_finite - n_confident, fallback_out_of_range=n_confident - n)
 
 
 def _row_groups(mask: np.ndarray, limit: int):
@@ -311,34 +281,30 @@ def _row_groups(mask: np.ndarray, limit: int):
 
 
 def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
-               trusted: np.ndarray, stats: SelectionStats, alpha: float | None,
-               seconds: dict) -> tuple[np.ndarray, np.ndarray]:
+               trusted: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Full search of the untrusted pixels and refine, a band of rows at a time.
 
     Band k is selected, then band k-1 refined, as its low pixels' 3x3
     neighbors reach into bands k-2 and k.  Selection fills the untrusted
     pixels of ``disparity`` and ``cost``, from planes over the band's rows
-    if none of them is trusted, else from the window kernel.  Refine (none
-    if ``alpha`` is None) writes the returned maps; it computes only the
-    vectors that are missing, by one ``dsi_rows`` call per band.
+    if none of them is trusted, else from the window kernel.  Refine writes
+    the returned maps; it computes only the vectors that are missing, by one
+    ``dsi_rows`` call per band.
 
     Only computed vectors are kept: a compact store holds one arena per
     band in flight, rows of d_max+1 costs, and a slot map over the rows in
     flight points each pixel at its row.  A band's arena is sized before
     the pass, for its untrusted pixels and the trusted ones within 3x3 of
     an untrusted or low pixel, which covers every vector refine may add.
-    ``stats`` gets the selection's entries and ``seconds`` refine's time.
+    Returns the refined maps, the entries refine computed and its seconds.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
     band = min(h, max(_BAND_MIN_ROWS, _BAND_ENTRIES // (w * nz)))
     slots = min(3 * band, h)
     have = ~trusted  # the pixels whose vectors the store holds, or held
-    if alpha is None:
-        room = have
-    else:  # and the trusted pixels within 3x3 of one that may be low
-        room = ~trusted
-        np.less_equal(cost, alpha, out=room, where=trusted)
-        room = binary_dilation(room, np.ones((3, 3)))
+    room = ~trusted  # and the trusted pixels within 3x3 of one that may be low
+    np.less_equal(cost, alpha, out=room, where=trusted)
+    room = binary_dilation(room, np.ones((3, 3)))
     counts = np.add.reduceat(np.count_nonzero(room, axis=1), np.arange(0, h, band))
     del room
     # Band k's vectors go to arena k % 3, which band k+3 reuses.
@@ -362,12 +328,12 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         return np.s_[start:start + i.shape[0]]
 
     new_d, new_c = np.empty((h, w)), np.empty((h, w))
+    refine_evals, refine_seconds = 0, 0.0
     for top in range(0, h + band, band):  # the step past the end refines the last band
         if top < h:
             bottom = min(top + band, h)
             used[(top // band) % 3] = 0  # band k-3's vectors are read no more
             full = ~trusted[top:bottom]
-            before = engine.count
             fi, fj = np.nonzero(full)
             fi += top
             if full.all():
@@ -388,9 +354,8 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
                 disparity[fi, fj] = best
                 cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
                 del vectors
-            stats.selection_evals += engine.count - before
             new_d[top:bottom], new_c[top:bottom] = disparity[top:bottom], cost[top:bottom]
-        if alpha is None or top == 0:
+        if top == 0:
             continue
         t0 = time.perf_counter()
         # The previous band's low pixels, over it and its halo rows.
@@ -401,7 +366,9 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         mi, mj = np.nonzero(binary_dilation(low, np.ones((3, 3))) & ~have[first:end])
         if mi.size:  # none are missing where the whole level was searched in full
             mi += first
+            before = engine.count
             vectors = engine.dsi_rows(mi, mj)
+            refine_evals += engine.count - before
             # Rows first..end-1 span bands k-2 to k, each with its own arena.
             for cut in range(first // band, (end - 1) // band + 1):
                 lo, hi = np.searchsorted(mi, (cut * band, (cut + 1) * band))
@@ -422,8 +389,8 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             best = np.argmax(summed, axis=1)
             new_d[ci, cj] = best
             new_c[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
-        seconds["refine"] = seconds.get("refine", 0.0) + time.perf_counter() - t0
-    return new_d, new_c
+        refine_seconds += time.perf_counter() - t0
+    return new_d, new_c, refine_evals, refine_seconds
 
 
 def selective_median(disparity: np.ndarray, cost: np.ndarray,
@@ -499,10 +466,10 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
             seconds["upsample"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        disparity, cost, trusted, stats = _select_trusted(engine, d_hat, c_hat, config.beta)
+        disparity, cost, trusted, counts = _select_trusted(engine, d_hat, c_hat, config.beta)
         del d_hat, c_hat  # the band pass reads only the selected maps
-        new_d, new_c = _band_pass(engine, disparity, cost, trusted, stats, config.alpha,
-                                  seconds)
+        new_d, new_c, refine_evals, seconds["refine"] = _band_pass(
+            engine, disparity, cost, trusted, config.alpha)
         seconds["select"] = time.perf_counter() - t0 - seconds["refine"]
         low = cost <= config.alpha  # by the selected costs
         disparity, cost = new_d, new_c
@@ -512,8 +479,8 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
         seconds["median"] = time.perf_counter() - t0
         trace.levels.append(LevelTrace(
             level=level.index, height=level.shape[0], width=level.shape[1],
-            d_max=level.d_max, block=level.block, **asdict(stats), refined=int(low.sum()),
-            refine_evals=engine.count - stats.selection_evals,
+            d_max=level.d_max, block=level.block, **counts, refined=int(low.sum()),
+            selection_evals=engine.count - refine_evals, refine_evals=refine_evals,
             # Refine read the vectors that selection computed, the untrusted ones.
             refine_reused=int(np.count_nonzero(binary_dilation(low, np.ones((3, 3))) & ~trusted)),
             median_replaced=_count_changed(disparity, filtered), seconds=seconds))

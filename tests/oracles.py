@@ -2,7 +2,9 @@
 
 Everything here is written as plain loops with extended-precision sums
 (math.fsum), sharing no code with the package's optimized paths.  Slow on
-purpose; correctness is the only goal.
+purpose; correctness is the only goal.  The one exception is
+``unbanded_selection``, which checks the band pass's full search against a
+single request and reuses the package's trusted selection to do so.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from pyrstereo import matcher
 
 BINOMIAL_2D = np.outer([1, 4, 6, 4, 1], [1, 4, 6, 4, 1]) / 256.0
 
@@ -248,3 +252,22 @@ def naive_metrics(disparity, gt_values, gt_invalid, scale=1.0, taus=(1.0, 2.0, 4
     rates = {tau: (100.0 * bad[tau] / evaluated if evaluated else 0.0) for tau in taus}
     avg = total_err / evaluated if evaluated else 0.0
     return rates, avg, evaluated, n_gt_invalid, n_out_invalid
+
+
+def unbanded_selection(engine, d_hat, c_hat, beta):
+    """Prior-guided selection with the full search in one request, not in bands.
+
+    The trusted pixels are selected by the package's own trusted selection;
+    every other pixel then takes the first maximum of its full cost vector,
+    all of them from one ``dsi_rows`` call.  Returns the maps and the
+    selection's counts, with ``selection_evals`` the entries the engine
+    computed here.
+    """
+    before = engine.count
+    disparity, cost, trusted, counts = matcher._select_trusted(engine, d_hat, c_hat, beta)
+    fi, fj = np.nonzero(~trusted)
+    vectors = engine.dsi_rows(fi, fj)
+    best = np.argmax(vectors, axis=1)
+    disparity[fi, fj] = best
+    cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
+    return disparity, cost, {**counts, "selection_evals": engine.count - before}

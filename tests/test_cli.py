@@ -121,6 +121,11 @@ def test_compute_validation_exit_codes(pair, tmp_path):
     bad.write_bytes(b"P5\n4 4\n255\nxx")
     assert main(["compute", str(left), str(bad), "--dmax", "8",
                  "--out", out]) == EXIT_DECODE
+    # An infinite ndisp is a malformed header, not a crash.
+    calib = tmp_path / "calib.txt"
+    calib.write_text("ndisp=inf\n")
+    assert main(["compute", str(left), str(right), "--calib", str(calib),
+                 "--out", out]) == EXIT_DECODE
 
 
 def test_pair_of_different_sizes_exits_config(pair, tmp_path, capsys):
@@ -221,6 +226,9 @@ def test_eval_baseline_trace_has_no_trust_fractions(pair, tmp_path):
     assert rc == 0
     metrics = json.loads((ev / "report.json").read_text())["metrics"]
     assert "trust_fractions" not in metrics
+    # The baseline's trace names its count "evals"; the report still carries it.
+    assert json.loads((out / "trace.json").read_text())["evals"] == 48 * 64 * 6
+    assert metrics["total_evals"] == 48 * 64 * 6
 
 
 def test_eval_scale_quarter_resolution(tmp_path):

@@ -196,6 +196,15 @@ def test_calib_parsing(tmp_path):
     assert (calib.ndisp, calib.width, calib.height) == (290, 2960, 2016)
 
 
+@pytest.mark.parametrize("text", ["ndisp=inf\n", "ndisp=-inf\n", "ndisp=1e999\n",
+                                  "ndisp=64\nwidth=1e999\n", "ndisp=64\nheight=-inf\n"])
+def test_calib_infinite_value_is_malformed(tmp_path, text):
+    path = tmp_path / "calib.txt"
+    path.write_text(text)
+    with pytest.raises(MalformedHeaderError):
+        read_calib(path)
+
+
 def test_calib_missing_ndisp(tmp_path):
     path = tmp_path / "calib.txt"
     path.write_text("width=100\nheight=100\n")

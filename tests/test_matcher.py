@@ -16,6 +16,7 @@ from oracles import (
     loop_full_search,
     naive_nn_double,
     naive_selective_median,
+    unbanded_selection,
 )
 from pyrstereo import (
     ConfigError,
@@ -27,7 +28,6 @@ from pyrstereo import (
     match_coarsest,
     refine_level,
     run_pipeline,
-    select_with_prior,
     selective_median,
     shifted_pair,
     upsample_prior,
@@ -198,14 +198,15 @@ def test_refine_with_handed_vectors_is_bit_identical():
     left, right, d_hat, c_hat = _fallback_prior()
     engine = CostEngine(left, right, block=5, d_max=10)
     disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.75)
-    got_d, got_c = matcher._band_pass(engine, disparity, cost, trusted, stats, 0.9, {})
+    got_d, got_c, refine_evals, _ = matcher._band_pass(engine, disparity, cost, trusted, 0.9)
 
     fresh = CostEngine(left, right, block=5, d_max=10)
-    sel_d, sel_c, sel_stats = select_with_prior(fresh, d_hat, c_hat, beta=0.75)
+    sel_d, sel_c, sel_stats = unbanded_selection(fresh, d_hat, c_hat, 0.75)
     np.testing.assert_array_equal(disparity, sel_d)
     np.testing.assert_array_equal(cost, sel_c)
-    assert stats == sel_stats
-    assert 0 < stats.trusted < disparity.size
+    assert stats.items() <= sel_stats.items()
+    assert sel_stats["selection_evals"] == engine.count - refine_evals
+    assert 0 < stats["trusted"] < disparity.size
     want_d, want_c = refine_level(fresh, sel_d, sel_c, 0.9)
     np.testing.assert_array_equal(got_d, want_d)
     np.testing.assert_array_equal(got_c, want_c)
@@ -218,10 +219,10 @@ def test_refine_with_handed_vectors_is_bit_identical():
 
 
 def _staged_pipeline(left, right, config):
-    """run_pipeline's levels from the public stages, each run alone.
+    """run_pipeline's levels from stages run alone, selection not in bands.
 
     Per level, coarsest first: the maps refine returns, the median's
-    output, and the level's selection stats, refine count and the size of
+    output, and the level's selection counts, refine count and the size of
     the 3x3-dilated low set.
     """
     levels = []
@@ -234,12 +235,12 @@ def _staged_pipeline(left, right, config):
             d_hat = c_hat = np.full(level.shape, np.nan)
         else:
             d_hat, c_hat = upsample_prior(disparity, cost, level.shape)
-        sel_d, sel_c, stats = select_with_prior(engine, d_hat, c_hat, config.beta)
+        sel_d, sel_c, stats = unbanded_selection(engine, d_hat, c_hat, config.beta)
         disparity, cost = refine_level(engine, sel_d, sel_c, config.alpha)
         filtered = selective_median(disparity, cost, config.alpha)
         needed = binary_dilation(sel_c <= config.alpha, structure=_NEIGHBORS)
         levels.append({"maps": (disparity, cost, filtered), "stats": stats,
-                       "refine_evals": engine.count - stats.selection_evals,
+                       "refine_evals": engine.count - stats["selection_evals"],
                        "needed": int(np.count_nonzero(needed))})
         disparity = filtered
     return disparity, cost, levels
@@ -316,7 +317,7 @@ def test_band_pass_equals_stages_at_any_band_height(inputs):
             np.testing.assert_array_equal(x, y)
         for name in ("trusted", "trusted_evals", "trusted_window_max",
                      "full_search_pixels", "selection_evals"):
-            assert getattr(lt, name) == getattr(b["stats"], name)
+            assert getattr(lt, name) == b["stats"][name]
         assert lt.refine_evals == (b["needed"] - lt.refine_reused) * (lt.d_max + 1)
 
 
@@ -377,14 +378,13 @@ def test_band_store_scales_with_vectors_held():
     d_hat, c_hat = np.full((h, w), 6.0), np.ones((h, w))
     for i, j in zip(rng.integers(0, h - 6, 60), rng.integers(0, w - 6, 60)):
         c_hat[i:i + 6, j:j + 6] = 0.0  # 6x6 patches of untrusted pixels
-    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
+    disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
     assert 0.03 < np.mean(~trusted) < 0.07
     # Untrusted pixels, and trusted ones within 3x3 of one that may be low.
     held = np.count_nonzero(binary_dilation(~trusted | (cost <= 0.9), _NEIGHBORS))
     band = min(h, max(matcher._BAND_MIN_ROWS, matcher._BAND_ENTRIES // (w * nz)))
     ring = 3 * band * w * nz * 8
-    peak = _traced_peak(lambda: matcher._band_pass(engine, disparity, cost, trusted, stats,
-                                                   0.9, {}))
+    peak = _traced_peak(lambda: matcher._band_pass(engine, disparity, cost, trusted, 0.9))
     # The store, one request's vectors on their way in, the returned maps
     # and refine's neighbor sums.
     bound = 2 * held * nz * 8 + 2 * h * w * 8 + 2 * matcher._REFINE_CHUNK * nz * 8
@@ -415,16 +415,16 @@ def test_refine_peak_is_one_vector_store(monkeypatch):
 
 def test_package_exports_matcher_api():
     assert set(matcher.__all__) <= set(pyrstereo.__all__)
-    assert pyrstereo.SelectionStats is matcher.SelectionStats
+    assert pyrstereo.LevelTrace is matcher.LevelTrace
     assert set(pyrstereo.__all__) == {
         "BAD_THRESHOLDS", "CalibInfo", "ConfigError", "CostEngine",
         "DecodeError", "EvalReport", "GroundTruthDisparity", "LevelTrace",
         "MalformedHeaderError", "MatchConfig", "MissingKeyError", "PipelineTrace",
-        "PyramidLevel", "SelectionStats", "TruncatedPayloadError",
+        "PyramidLevel", "TruncatedPayloadError",
         "UnsupportedMaxvalError", "auto_levels", "baseline_bm", "build_pyramid",
         "evaluate", "gaussian_downsample", "interior_mask", "level_block", "level_d_max",
         "match_coarsest", "read_calib", "read_pfm", "read_pnm", "refine_level",
-        "run_pipeline", "select_with_prior", "selective_median", "shifted_pair",
+        "run_pipeline", "selective_median", "shifted_pair",
         "upsample_prior", "write_pfm", "write_pgm",
     }
     # A name that is no longer exported would otherwise bind its submodule
@@ -444,6 +444,24 @@ def test_refine_is_idempotent():
     crossed = (once_c > 0.9) != (cost > 0.9)
     np.testing.assert_array_equal(twice_d[~crossed], once_d[~crossed])
     np.testing.assert_array_equal(twice_c[~crossed], once_c[~crossed])
+
+
+def test_stages_accept_read_only_maps():
+    """Stages never mutate their inputs: read-only maps pass through unchanged."""
+    rng = np.random.default_rng(41)
+    left, right = shifted_pair(20, 28, 3, rng, cutoff=0.3)
+    engine = CostEngine(left, right, block=3, d_max=6)
+    disparity, cost = match_coarsest(engine)
+    disparity[0, :2] = np.nan
+    assert 0 < np.count_nonzero(cost <= 0.9) < cost.size  # pixels to repair, and to keep
+    saved = disparity.copy(), cost.copy()
+    for m in (disparity, cost):
+        m.setflags(write=False)
+    refine_level(engine, disparity, cost, alpha=0.9)
+    selective_median(disparity, cost, alpha=0.9)
+    upsample_prior(disparity, cost, (40, 56))
+    np.testing.assert_array_equal(disparity, saved[0])
+    np.testing.assert_array_equal(cost, saved[1])
 
 
 def test_upsample_nn_doubles_blocks():
@@ -507,12 +525,12 @@ def test_prior_guided_search_with_perfect_prior():
     engine = CostEngine(left, right, block=5, d_max=12)
     d_hat = np.full((24, 40), 5.0)
     c_hat = np.full((24, 40), 1.0)
-    disparity, cost, stats = select_with_prior(engine, d_hat, c_hat, beta=0.9)
+    disparity, cost, stats = unbanded_selection(engine, d_hat, c_hat, 0.9)
     mask = interior_mask(left.shape, 5, 5)
     assert np.mean(disparity[mask] == 5) >= 0.99
-    assert stats.trusted == 24 * 40
-    assert stats.trusted_window_max <= 3
-    assert stats.selection_evals <= 3 * 24 * 40
+    assert stats["trusted"] == 24 * 40
+    assert stats["trusted_window_max"] <= 3
+    assert stats["selection_evals"] <= 3 * 24 * 40
 
 
 def test_prior_guided_search_off_by_one_prior():
@@ -521,7 +539,7 @@ def test_prior_guided_search_off_by_one_prior():
     engine = CostEngine(left, right, block=5, d_max=12)
     d_hat = np.full((24, 40), 5.0)  # one below the truth
     c_hat = np.full((24, 40), 1.0)
-    disparity, _, _ = select_with_prior(engine, d_hat, c_hat, beta=0.9)
+    disparity, _, _ = unbanded_selection(engine, d_hat, c_hat, 0.9)
     mask = interior_mask(left.shape, 6, 5)
     assert np.mean(disparity[mask] == 6) >= 0.99
 
@@ -532,9 +550,9 @@ def test_prior_guided_search_respects_window():
     engine = CostEngine(left, right, block=3, d_max=7)
     d_hat = np.full((16, 20), 4.0)
     c_hat = np.full((16, 20), 0.95)
-    disparity, _, stats = select_with_prior(engine, d_hat, c_hat, beta=0.9)
+    disparity, _, stats = unbanded_selection(engine, d_hat, c_hat, 0.9)
     assert np.isin(disparity, [3, 4, 5]).all()
-    assert stats.trusted_evals == 3 * disparity.size
+    assert stats["trusted_evals"] == 3 * disparity.size
 
 
 def test_prior_guided_search_without_trust_equals_full_search():
@@ -545,11 +563,11 @@ def test_prior_guided_search_without_trust_equals_full_search():
     d_full, c_full = match_coarsest(engine_a)
     d_hat = np.zeros((14, 18))
     c_hat = np.full((14, 18), -1.0)
-    d_sel, c_sel, stats = select_with_prior(engine_b, d_hat, c_hat, beta=0.9)
+    d_sel, c_sel, stats = unbanded_selection(engine_b, d_hat, c_hat, 0.9)
     np.testing.assert_array_equal(d_sel, d_full)
     np.testing.assert_allclose(c_sel, c_full, atol=1e-9)
-    assert stats.trusted == 0
-    assert stats.selection_evals == 14 * 18 * 7
+    assert stats["trusted"] == 0
+    assert stats["selection_evals"] == 14 * 18 * 7
 
 
 def test_prior_guided_search_invalid_prior_falls_back():
@@ -558,9 +576,9 @@ def test_prior_guided_search_invalid_prior_falls_back():
     engine = CostEngine(left, right, block=3, d_max=4)
     d_hat = np.full((10, 12), np.nan)
     c_hat = np.full((10, 12), 1.0)  # trusted cost but unusable prior
-    disparity, _, stats = select_with_prior(engine, d_hat, c_hat, beta=0.9)
-    assert stats.trusted == 0
-    assert stats.full_search_pixels == 120
+    disparity, _, stats = unbanded_selection(engine, d_hat, c_hat, 0.9)
+    assert stats["trusted"] == 0
+    assert stats["full_search_pixels"] == 120
     assert np.isfinite(disparity).all()
 
 
@@ -584,7 +602,7 @@ def test_trusted_pick_is_first_legal_maximum(monkeypatch, group):
     monkeypatch.setattr(engine, "window", planted)
     disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, np.ones((h, w)),
                                                               0.9)
-    assert trusted.all() and stats.trusted_window_max == 3
+    assert trusted.all() and stats["trusted_window_max"] == 3
     ti, tj = np.nonzero(trusted)
     z0 = d_hat[ti, tj].astype(np.intp) - 1
     z = z0[:, np.newaxis] + np.arange(3)
@@ -609,11 +627,11 @@ def test_fallback_reasons_are_counted_apart():
     c_hat[1, :4] = [0.9, 0.5, np.nan, -1.0]  # at most beta, or NaN
     d_hat[2, :5] = [-2.0, 6.0, 9.0, -1.0, 5.0]  # the first three leave [0, d_max]
     _, _, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
-    assert stats.fallback_nan_prior == 3
-    assert stats.fallback_low_prior == 4
-    assert stats.fallback_out_of_range == 3
-    assert stats.full_search_pixels == 10 == 60 - int(trusted.sum())
-    assert stats.trusted == 50
+    assert stats["fallback_nan_prior"] == 3
+    assert stats["fallback_low_prior"] == 4
+    assert stats["fallback_out_of_range"] == 3
+    assert stats["full_search_pixels"] == 10 == 60 - int(trusted.sum())
+    assert stats["trusted"] == 50
 
 
 def test_select_without_prior_is_full_search():
@@ -622,15 +640,15 @@ def test_select_without_prior_is_full_search():
     left, right = rng.random((15, 19)), rng.random((15, 19))
     engine = CostEngine(left, right, block=3, d_max=7)
     nan = np.full((15, 19), np.nan)
-    disparity, cost, stats = select_with_prior(engine, nan, nan, beta=0.9)
+    disparity, cost, stats = unbanded_selection(engine, nan, nan, 0.9)
     expected_d, expected_c = match_coarsest(CostEngine(left, right, block=3, d_max=7))
     np.testing.assert_array_equal(disparity, expected_d)
     np.testing.assert_array_equal(cost, expected_c)
-    assert stats.trusted == 0
-    assert stats.full_search_pixels == 15 * 19
-    assert stats.selection_evals == engine.count == 15 * 19 * 8
+    assert stats["trusted"] == 0
+    assert stats["full_search_pixels"] == 15 * 19
+    assert stats["selection_evals"] == engine.count == 15 * 19 * 8
     with pytest.raises(ValueError):
-        select_with_prior(engine, nan, np.zeros((15, 18)), beta=0.9)
+        matcher._select_trusted(engine, nan, np.zeros((15, 18)), 0.9)
 
 
 def test_match_level_with_prior_composes_stages():
@@ -642,7 +660,7 @@ def test_match_level_with_prior_composes_stages():
     d_hat = np.zeros((20, 30))
     c_hat = np.full((20, 30), -1.0)
 
-    got_d, got_c, _ = select_with_prior(engine_a, d_hat, c_hat, beta)
+    got_d, got_c, _ = unbanded_selection(engine_a, d_hat, c_hat, beta)
     got_d, got_c = refine_level(engine_a, got_d, got_c, alpha)
     got_d = selective_median(got_d, got_c, alpha)
 
