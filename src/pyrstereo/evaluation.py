@@ -57,15 +57,15 @@ def evaluate(disparity: np.ndarray, gt: GroundTruthDisparity,
     """Score a disparity map against reference disparities.
 
     ``disparity * scale`` is compared to the reference on pixels valid in
-    both.  Shapes must already agree; ``scale`` must be positive.
+    both.  Shapes must already agree; ``scale`` must be positive and finite.
     """
     disparity = np.asarray(disparity, dtype=np.float64)
     if disparity.shape != gt.values.shape:
         raise ValueError(
             f"disparity {disparity.shape} and reference {gt.values.shape} differ"
         )
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < np.inf:  # NaN fails every comparison
+        raise ValueError(f"scale must be positive and finite, got {scale}")
 
     output_invalid = ~np.isfinite(disparity)
     mask = ~output_invalid & ~gt.invalid

@@ -211,8 +211,8 @@ def read_pfm(path) -> GroundTruthDisparity:
         scale = float(tok)
     except ValueError:
         raise MalformedHeaderError(f"non-numeric scale {tok!r}") from None
-    if scale == 0.0:
-        raise MalformedHeaderError("zero scale")
+    if scale == 0.0 or not np.isfinite(scale):
+        raise MalformedHeaderError(f"scale {tok!r} is zero or not finite")
     if width <= 0 or height <= 0:
         raise MalformedHeaderError(f"bad dimensions {width}x{height}")
 
@@ -242,8 +242,8 @@ def write_pfm(values: np.ndarray, path, scale: float = -1.0) -> None:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
         raise ValueError(f"expected a non-empty 2-D array, got shape {values.shape}")
-    if scale == 0.0:
-        raise ValueError("scale must be nonzero")
+    if scale == 0.0 or not np.isfinite(scale):
+        raise ValueError(f"scale must be nonzero and finite, got {scale}")
     out = np.where(np.isnan(values), np.inf, values)
     dtype = "<f4" if scale < 0 else ">f4"
     height, width = out.shape
@@ -267,8 +267,8 @@ def write_pgm(values: np.ndarray, path, maxval: int = 255, scale_max: float = 1.
         raise ValueError(f"expected a non-empty 2-D array, got shape {values.shape}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval {maxval} outside [1, 65535]")
-    if scale_max <= 0:
-        raise ValueError("scale_max must be positive")
+    if not 0 < scale_max < np.inf:  # NaN fails every comparison
+        raise ValueError(f"scale_max must be positive and finite, got {scale_max}")
     scaled = np.round(np.nan_to_num(values, nan=0.0) / scale_max * maxval)
     scaled = np.clip(scaled, 0, maxval)
     dtype = ">u2" if maxval > 255 else "u1"

@@ -17,7 +17,8 @@ band apart, so a level holds the cost vectors of three bands at most, and
 of those only the vectors it computed, in a compact store.
 
 All maps are float64; disparities are integer-valued with NaN marking
-pixels that carry no usable value.  Stages never mutate their inputs.
+pixels that carry no usable value.  Public stages never mutate their
+inputs; inside ``run_pipeline`` the band pass refines a level's maps in place.
 """
 
 from __future__ import annotations
@@ -195,7 +196,11 @@ def refine_level(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     size, so it stays comparable to ``alpha`` at later gates.  This is the
     band pass with nothing left to select: it computes every needed vector.
     """
-    return _band_pass(engine, disparity, cost, np.ones(cost.shape, dtype=bool), alpha)[:2]
+    if disparity.shape != (engine.height, engine.width) or cost.shape != disparity.shape:
+        raise ValueError("maps must match the level dimensions")
+    disparity, cost = disparity.astype(float), cost.astype(float)
+    _band_pass(engine, disparity, cost, np.ones(cost.shape, dtype=bool), alpha)
+    return disparity, cost
 
 
 def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
@@ -281,27 +286,28 @@ def _row_groups(mask: np.ndarray, limit: int):
 
 
 def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
-               trusted: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Full search of the untrusted pixels and refine, a band of rows at a time.
+               trusted: np.ndarray, alpha: float) -> tuple[dict, float]:
+    """Full search of the untrusted pixels and refine, a band of rows at a time, in place.
 
     Band k is selected, then band k-1 refined, as its low pixels' 3x3
     neighbors reach into bands k-2 and k.  Selection fills the untrusted
     pixels of ``disparity`` and ``cost``, from planes over the band's rows
-    if none of them is trusted, else from the window kernel.  Refine writes
-    the returned maps; it computes only the vectors that are missing, by one
-    ``dsi_rows`` call per band.
+    if none of them is trusted, else from the window kernel.  Refine then
+    overwrites the band's low pixels; it reads only the band's selected
+    costs and the stored vectors, and computes only the vectors that are
+    missing, by one ``dsi_rows`` call per band.
 
     Only computed vectors are kept: a compact store holds one arena per
     band in flight, rows of d_max+1 costs, and a slot map over the rows in
     flight points each pixel at its row.  A band's arena is sized before
     the pass, for its untrusted pixels and the trusted ones within 3x3 of
     an untrusted or low pixel, which covers every vector refine may add.
-    Returns the refined maps, the entries refine computed and its seconds.
+    Returns refine's counts, keyed by their LevelTrace fields, and seconds.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
     band = min(h, max(_BAND_MIN_ROWS, _BAND_ENTRIES // (w * nz)))
     slots = min(3 * band, h)
-    have = ~trusted  # the pixels whose vectors the store holds, or held
+    reached = np.zeros((h, w), dtype=bool)  # the pixels whose vectors refine has read
     room = ~trusted  # and the trusted pixels within 3x3 of one that may be low
     np.less_equal(cost, alpha, out=room, where=trusted)
     room = binary_dilation(room, np.ones((3, 3)))
@@ -325,10 +331,9 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         start = arena[a] + used[a]
         used[a] += i.shape[0]
         slot[ring_row[i], j + 1] = np.arange(start, start + i.shape[0])
-        return np.s_[start:start + i.shape[0]]
+        return store[start:start + i.shape[0]]
 
-    new_d, new_c = np.empty((h, w)), np.empty((h, w))
-    refine_evals, refine_seconds = 0, 0.0
+    refined, refine_evals, refine_seconds = 0, 0, 0.0
     for top in range(0, h + band, band):  # the step past the end refines the last band
         if top < h:
             bottom = min(top + band, h)
@@ -336,25 +341,20 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             full = ~trusted[top:bottom]
             fi, fj = np.nonzero(full)
             fi += top
-            if full.all():
-                # One transposing copy: plane by plane touches each store row nz times.
-                planes = np.empty((nz, bottom - top, w))
-                for z, plane in enumerate(planes):
-                    engine._rows(z, top, bottom, plane)
-                slab = store[claim(fi, fj)].reshape(bottom - top, w, nz)
-                slab[...] = planes.transpose(1, 2, 0)
-                del planes
-                best = slab.argmax(axis=2)
-                disparity[top:bottom] = best
-                cost[top:bottom] = np.take_along_axis(slab, best[..., np.newaxis], 2)[..., 0]
-            elif fi.size:
-                vectors = engine.dsi_rows(fi, fj)
-                store[claim(fi, fj)] = vectors
+            if fi.size:
+                vectors = claim(fi, fj)
+                if full.all():
+                    # One transposing copy: plane by plane touches each store row nz times.
+                    planes = np.empty((nz, bottom - top, w))
+                    for z, plane in enumerate(planes):
+                        engine._rows(z, top, bottom, plane)
+                    vectors.reshape(bottom - top, w, nz)[...] = planes.transpose(1, 2, 0)
+                    del planes
+                else:
+                    vectors[...] = engine.dsi_rows(fi, fj)
                 best = np.argmax(vectors, axis=1)
                 disparity[fi, fj] = best
                 cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
-                del vectors
-            new_d[top:bottom], new_c[top:bottom] = disparity[top:bottom], cost[top:bottom]
         if top == 0:
             continue
         t0 = time.perf_counter()
@@ -363,7 +363,9 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         first, end = max(upper - 1, 0), min(lower + 1, h)
         low = np.zeros((end - first, w), dtype=bool)
         low[upper - first:lower - first] = cost[upper:lower] <= alpha
-        mi, mj = np.nonzero(binary_dilation(low, np.ones((3, 3))) & ~have[first:end])
+        read = binary_dilation(low, np.ones((3, 3)))
+        mi, mj = np.nonzero(read & trusted[first:end] & ~reached[first:end])
+        reached[first:end] |= read
         if mi.size:  # none are missing where the whole level was searched in full
             mi += first
             before = engine.count
@@ -373,11 +375,11 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             for cut in range(first // band, (end - 1) // band + 1):
                 lo, hi = np.searchsorted(mi, (cut * band, (cut + 1) * band))
                 if hi > lo:
-                    store[claim(mi[lo:hi], mj[lo:hi])] = vectors[lo:hi]
+                    claim(mi[lo:hi], mj[lo:hi])[...] = vectors[lo:hi]
             del vectors
-            have[mi, mj] = True
         li, lj = np.nonzero(low)
         li += first
+        refined += li.shape[0]
         for start in range(0, li.shape[0], _REFINE_CHUNK):
             ci, cj = li[start:start + _REFINE_CHUNK], lj[start:start + _REFINE_CHUNK]
             summed = np.zeros((ci.shape[0], nz))  # neighbors add in (row, column) order
@@ -387,10 +389,12 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
                     summed += store[slot[rows, cj + dj]]
             members = ((ci > 0) + 1 + (ci < h - 1)) * ((cj > 0) + 1 + (cj < w - 1))
             best = np.argmax(summed, axis=1)
-            new_d[ci, cj] = best
-            new_c[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
+            disparity[ci, cj] = best
+            cost[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
         refine_seconds += time.perf_counter() - t0
-    return new_d, new_c, refine_evals, refine_seconds
+    # Refine read the vectors that selection computed, the untrusted ones.
+    reused = int(np.count_nonzero(reached & ~trusted))
+    return dict(refined=refined, refine_evals=refine_evals, refine_reused=reused), refine_seconds
 
 
 def selective_median(disparity: np.ndarray, cost: np.ndarray,
@@ -468,21 +472,16 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
         t0 = time.perf_counter()
         disparity, cost, trusted, counts = _select_trusted(engine, d_hat, c_hat, config.beta)
         del d_hat, c_hat  # the band pass reads only the selected maps
-        new_d, new_c, refine_evals, seconds["refine"] = _band_pass(
-            engine, disparity, cost, trusted, config.alpha)
+        refine, seconds["refine"] = _band_pass(engine, disparity, cost, trusted, config.alpha)
         seconds["select"] = time.perf_counter() - t0 - seconds["refine"]
-        low = cost <= config.alpha  # by the selected costs
-        disparity, cost = new_d, new_c
 
         t0 = time.perf_counter()
         filtered = selective_median(disparity, cost, config.alpha)
         seconds["median"] = time.perf_counter() - t0
         trace.levels.append(LevelTrace(
             level=level.index, height=level.shape[0], width=level.shape[1],
-            d_max=level.d_max, block=level.block, **counts, refined=int(low.sum()),
-            selection_evals=engine.count - refine_evals, refine_evals=refine_evals,
-            # Refine read the vectors that selection computed, the untrusted ones.
-            refine_reused=int(np.count_nonzero(binary_dilation(low, np.ones((3, 3))) & ~trusted)),
+            d_max=level.d_max, block=level.block, **counts, **refine,
+            selection_evals=engine.count - refine["refine_evals"],
             median_replaced=_count_changed(disparity, filtered), seconds=seconds))
         disparity = filtered
 

@@ -173,6 +173,10 @@ def test_evaluate_rejects_mismatched_shapes():
         evaluate(np.zeros((4, 4)), _gt(np.zeros((4, 5))))
     with pytest.raises(ValueError):
         evaluate(np.zeros((4, 4)), _gt(np.zeros((4, 4))), scale=0.0)
+    # NaN fails every comparison, and infinity scores every pixel as bad.
+    for scale in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            evaluate(np.zeros((4, 4)), _gt(np.zeros((4, 4))), scale=scale)
 
 
 def test_report_serialization_round_trip():

@@ -271,6 +271,13 @@ def test_eval_error_exits(tmp_path, pair):
                  "--out", str(tmp_path / "e1")]) == EXIT_CONFIG
     assert main(["eval", str(out / "disparity.pfm"), str(tmp_path / "nope.pfm"),
                  "--out", str(tmp_path / "e2")]) == EXIT_IO
+    for scale in ("nan", "inf"):
+        assert main(["eval", str(out / "disparity.pfm"), str(out / "disparity.pfm"),
+                     "--scale", scale, "--out", str(tmp_path / "e3")]) == EXIT_CONFIG
+    nan_header = tmp_path / "nan.pfm"
+    nan_header.write_bytes(b"Pf\n2 2\nnan\n" + bytes(16))
+    assert main(["eval", str(out / "disparity.pfm"), str(nan_header),
+                 "--out", str(tmp_path / "e4")]) == EXIT_DECODE
 
 
 def _make_scene(root, name, shift, seed):

@@ -110,6 +110,12 @@ def test_write_errors(tmp_path):
         write_pfm(np.zeros((0, 4)), tmp_path / "e.pfm")
     with pytest.raises(ValueError):
         write_pfm(np.zeros((2, 2)), tmp_path / "e.pfm", scale=0.0)
+    for scale in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            write_pfm(np.zeros((2, 2)), tmp_path / "e.pfm", scale=scale)
+    for scale_max in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            write_pgm(np.zeros((2, 2)), tmp_path / "e.pgm", scale_max=scale_max)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +182,9 @@ def test_pfm_round_trip_both_endian(tmp_path, scale):
     [
         (b"PF\n1 1\n-1.0\n" + bytes(12), MalformedHeaderError),
         (b"Pf\n1 1\n0.0\n" + bytes(4), MalformedHeaderError),
+        (b"Pf\n1 1\nnan\n" + bytes(4), MalformedHeaderError),
+        (b"Pf\n1 1\ninf\n" + bytes(4), MalformedHeaderError),
+        (b"Pf\n1 1\n-inf\n" + bytes(4), MalformedHeaderError),
         (b"Pf\n2 2\n-1.0\n" + bytes(8), TruncatedPayloadError),
     ],
 )

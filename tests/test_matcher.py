@@ -180,6 +180,15 @@ def test_refine_repairs_bad_pixel_from_neighborhood():
         assert abs(refined_c[i, j] - expected.max() / members) <= 1e-9
 
 
+def test_refine_rejects_maps_of_another_shape():
+    rng = np.random.default_rng(6)
+    engine = CostEngine(rng.random((16, 24)), rng.random((16, 24)), block=3, d_max=4)
+    # Taller maps were cropped to the level without a word.
+    for d_shape, c_shape in [((20, 24), (20, 24)), ((12, 24), (12, 24)), ((16, 24), (16, 23))]:
+        with pytest.raises(ValueError, match="level dimensions"):
+            refine_level(engine, np.zeros(d_shape), np.zeros(c_shape), alpha=0.9)
+
+
 _NEIGHBORS = np.ones((3, 3), dtype=bool)
 
 
@@ -198,32 +207,38 @@ def test_refine_with_handed_vectors_is_bit_identical():
     left, right, d_hat, c_hat = _fallback_prior()
     engine = CostEngine(left, right, block=5, d_max=10)
     disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.75)
-    got_d, got_c, refine_evals, _ = matcher._band_pass(engine, disparity, cost, trusted, 0.9)
+    # Below every cost nothing is low, so this pass only selects.
+    selected = disparity.copy(), cost.copy()
+    matcher._band_pass(CostEngine(left, right, block=5, d_max=10), *selected, trusted, -2.0)
+    refine, _ = matcher._band_pass(engine, disparity, cost, trusted, 0.9)
 
     fresh = CostEngine(left, right, block=5, d_max=10)
     sel_d, sel_c, sel_stats = unbanded_selection(fresh, d_hat, c_hat, 0.75)
-    np.testing.assert_array_equal(disparity, sel_d)
-    np.testing.assert_array_equal(cost, sel_c)
+    np.testing.assert_array_equal(selected[0], sel_d)
+    np.testing.assert_array_equal(selected[1], sel_c)
     assert stats.items() <= sel_stats.items()
-    assert sel_stats["selection_evals"] == engine.count - refine_evals
+    assert sel_stats["selection_evals"] == engine.count - refine["refine_evals"]
     assert 0 < stats["trusted"] < disparity.size
     want_d, want_c = refine_level(fresh, sel_d, sel_c, 0.9)
-    np.testing.assert_array_equal(got_d, want_d)
-    np.testing.assert_array_equal(got_c, want_c)
+    # The pass refined the maps it was handed.
+    np.testing.assert_array_equal(disparity, want_d)
+    np.testing.assert_array_equal(cost, want_c)
 
     # Read, not computed again: the untrusted vectors in the 3x3-dilated low set.
     needed = binary_dilation(sel_c <= 0.9, structure=_NEIGHBORS)
     reused = np.count_nonzero(needed & ~trusted)
     assert reused > 0
     assert fresh.count - engine.count == reused * 11
+    assert refine["refine_reused"] == reused
+    assert refine["refined"] == np.count_nonzero(sel_c <= 0.9)
 
 
 def _staged_pipeline(left, right, config):
     """run_pipeline's levels from stages run alone, selection not in bands.
 
     Per level, coarsest first: the maps refine returns, the median's
-    output, and the level's selection counts, refine count and the size of
-    the 3x3-dilated low set.
+    output, and the level's selection counts, refine count, low pixels, and
+    the size of the 3x3-dilated low set and of its untrusted part.
     """
     levels = []
     disparity = cost = None
@@ -236,12 +251,17 @@ def _staged_pipeline(left, right, config):
         else:
             d_hat, c_hat = upsample_prior(disparity, cost, level.shape)
         sel_d, sel_c, stats = unbanded_selection(engine, d_hat, c_hat, config.beta)
+        # A confident prior whose window holds a legal candidate; NaN never is.
+        trusted = (c_hat > config.beta) & (d_hat > -2) & (d_hat < level.d_max + 2)
+        assert np.count_nonzero(trusted) == stats["trusted"]
         disparity, cost = refine_level(engine, sel_d, sel_c, config.alpha)
         filtered = selective_median(disparity, cost, config.alpha)
         needed = binary_dilation(sel_c <= config.alpha, structure=_NEIGHBORS)
         levels.append({"maps": (disparity, cost, filtered), "stats": stats,
                        "refine_evals": engine.count - stats["selection_evals"],
-                       "needed": int(np.count_nonzero(needed))})
+                       "refined": int(np.count_nonzero(sel_c <= config.alpha)),
+                       "needed": int(np.count_nonzero(needed)),
+                       "reused": int(np.count_nonzero(needed & ~trusted))})
         disparity = filtered
     return disparity, cost, levels
 
@@ -319,6 +339,9 @@ def test_band_pass_equals_stages_at_any_band_height(inputs):
                      "full_search_pixels", "selection_evals"):
             assert getattr(lt, name) == b["stats"][name]
         assert lt.refine_evals == (b["needed"] - lt.refine_reused) * (lt.d_max + 1)
+        # The band pass tracks which vectors refine read across band halos.
+        assert lt.refined == b["refined"]
+        assert lt.refine_reused == b["reused"]
 
 
 def test_flat_pipeline_counts_one_full_search():
@@ -385,9 +408,9 @@ def test_band_store_scales_with_vectors_held():
     band = min(h, max(matcher._BAND_MIN_ROWS, matcher._BAND_ENTRIES // (w * nz)))
     ring = 3 * band * w * nz * 8
     peak = _traced_peak(lambda: matcher._band_pass(engine, disparity, cost, trusted, 0.9))
-    # The store, one request's vectors on their way in, the returned maps
-    # and refine's neighbor sums.
-    bound = 2 * held * nz * 8 + 2 * h * w * 8 + 2 * matcher._REFINE_CHUNK * nz * 8
+    # The store, one request's vectors on their way in and refine's neighbor
+    # sums.
+    bound = 2 * held * nz * 8 + 2 * matcher._REFINE_CHUNK * nz * 8
     assert bound < ring / 2
     assert peak < bound
 
