@@ -10,7 +10,7 @@ paths are then timed on that engine, one after the other in each repeat:
 
 - ``plane``: every plane 0..d_max;
 - ``window nz=3``: the trusted three-candidate windows that ``run_pipeline``
-  asks for at level 0, in the same row groups, one ``window`` call each;
+  asks for at level 0, in the same row ranges, one ``window`` call each;
 - ``dsi_rows``: full vectors of every other pixel, the fallback request.
 
 Before timing, the three paths must agree bit for bit on every entry they
@@ -49,7 +49,7 @@ DEFAULT_SIZES = ("375x450x64", "88x128x12")  # the layered and the CLI workloads
 def level0_requests(scene, config):
     """The level-0 engine, its trusted windows and the other pixels.
 
-    The trusted windows are (rows, cols, z0) per row group, as selection
+    The trusted windows are (rows, cols, z0) per row range, as selection
     asks for them.
     """
     seen = []
@@ -66,13 +66,14 @@ def level0_requests(scene, config):
     finally:
         matcher._select_trusted = select
     engine, d_hat, trusted = seen[-1]  # level 0 is matched last
-    groups = []
-    for top, bottom in matcher._row_groups(trusted, matcher._TRUSTED_GROUP):
-        ti, tj = np.nonzero(trusted[top:bottom])
+    ranges = []
+    step = max(1, matcher._TRUSTED_GROUP // engine.width)
+    for top in range(0, engine.height, step):
+        ti, tj = np.nonzero(trusted[top:top + step])
         ti += top
         # The window around each trusted pixel's prior.
-        groups.append((ti, tj, d_hat[ti, tj].astype(np.intp) - 1))
-    return engine, groups, np.nonzero(~trusted)
+        ranges.append((ti, tj, d_hat[ti, tj].astype(np.intp) - 1))
+    return engine, ranges, np.nonzero(~trusted)
 
 
 def check_agreement(engine, trusted, fallback) -> None:
@@ -133,7 +134,7 @@ def main(argv=None) -> int:
         rows = time_paths(engine, trusted, fallback, args.repeats)
         report[size] = rows
         print(f"{size} seed {args.seed}: {sum(group[0].size for group in trusted)} trusted "
-              f"in {len(trusted)} groups, {fallback[0].size} fallback pixels at level 0")
+              f"in {len(trusted)} row ranges, {fallback[0].size} fallback pixels at level 0")
         for name, row in rows.items():
             median, q1, q3 = row["ns_per_entry"]
             print(f"  {name:<14} {median:8.1f} ns/entry [{q1:.1f}, {q3:.1f}]  "

@@ -227,12 +227,15 @@ def cmd_eval(args) -> int:
 
     trace = None
     if args.trace is not None:
-        with open(args.trace, "r", encoding="ascii") as fh:
-            trace = json.load(fh)
-        # A baseline trace names its count "evals", as stereobench reads it.
-        report.total_evals = trace.get("total_evals", trace.get("evals"))
-        if "levels" in trace:  # a baseline trace has none
-            report.trust_fractions = tuple(lt["trusted_fraction"] for lt in trace["levels"])
+        try:  # an unreadable file is an OSError, exit 4
+            with open(args.trace, "r", encoding="ascii") as fh:
+                trace = json.load(fh)
+            # A baseline trace names its count "evals", as stereobench reads it.
+            report.total_evals = trace.get("total_evals", trace.get("evals"))
+            if "levels" in trace:  # a baseline trace has none
+                report.trust_fractions = tuple(lt["trusted_fraction"] for lt in trace["levels"])
+        except (ValueError, AttributeError, KeyError, TypeError) as exc:
+            raise DecodeError(f"bad trace file {args.trace}: {exc!r}") from None
 
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, "report")

@@ -13,6 +13,7 @@ same pixels are stored as +inf, and PGM previews render them as 0.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,11 @@ __all__ = [
     "read_calib",
 ]
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# One token after any whitespace and '#' comments, as bytes.split() and
+# re.sub(rb"#[^\r\n]*", b"", ...) would find it.  A comment must run to its
+# line end, so backtracking never reads a comment's tail as a token.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 # BT.601 luma weights used when a PPM input must be collapsed to one channel.
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -70,14 +75,6 @@ class GroundTruthDisparity:
     values: np.ndarray
     invalid: np.ndarray
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class CalibInfo:
@@ -93,23 +90,11 @@ class CalibInfo:
 
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Return the next whitespace-delimited token, skipping '#' comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == b"#":
-            while pos < n and buf[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
+    """The next token at or after ``pos`` and the position after it."""
+    match = _TOKEN.match(buf, pos)
+    if match is None:
         raise MalformedHeaderError("unexpected end of file in header")
-    start = pos
-    while pos < n and buf[pos : pos + 1] not in _WHITESPACE and buf[pos : pos + 1] != b"#":
-        pos += 1
-    return buf[start:pos], pos
+    return match[1], match.end()
 
 
 def _token_int(buf: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -120,61 +105,61 @@ def _token_int(buf: bytes, pos: int, what: str) -> tuple[int, int]:
         raise MalformedHeaderError(f"non-numeric {what}: {tok!r}") from None
 
 
+def _read_header(path, magics: tuple[bytes, ...]) -> tuple[bytes, bytes, int, int, int]:
+    """The file's bytes, its magic, width and height, and the position after them."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    magic, pos = _next_token(buf, 0)
+    if magic not in magics:
+        raise MalformedHeaderError(f"magic {magic!r} is not {b'/'.join(magics).decode()}")
+    width, pos = _token_int(buf, pos, "width")
+    height, pos = _token_int(buf, pos, "height")
+    if width <= 0 or height <= 0:
+        raise MalformedHeaderError(f"bad dimensions {width}x{height}")
+    return buf, magic, width, height, pos
+
+
+def _binary_payload(buf: bytes, pos: int, count: int, dtype: str) -> np.ndarray:
+    """``count`` samples of ``dtype`` after the header's one whitespace byte, as float64."""
+    if not buf[pos : pos + 1].isspace():
+        raise MalformedHeaderError("missing whitespace before binary payload")
+    size = count * np.dtype(dtype).itemsize
+    payload = buf[pos + 1 : pos + 1 + size]
+    if len(payload) < size:
+        raise TruncatedPayloadError(f"payload holds {len(payload)} bytes, need {size}")
+    return np.frombuffer(payload, dtype=dtype).astype(np.float64)
+
+
 def read_pnm(path) -> np.ndarray:
     """Read a PGM or PPM file as a grayscale image in [0, 1].
 
     Supports the ASCII (P2/P3) and binary (P5/P6) encodings with maxval up
     to 65535 (two-byte big-endian samples).  Color images are converted to
     luminance with the 0.299/0.587/0.114 weights before normalization.
+    ``#`` comments may stand wherever whitespace may, in the header and
+    among ASCII samples.
 
     Raises :class:`MalformedHeaderError`, :class:`UnsupportedMaxvalError`
     or :class:`TruncatedPayloadError` on the corresponding defect.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-
-    magic, pos = _next_token(buf, 0)
-    if magic not in (b"P2", b"P3", b"P5", b"P6"):
-        raise MalformedHeaderError(f"unsupported PNM magic {magic!r}")
-    color = magic in (b"P3", b"P6")
-    ascii_encoded = magic in (b"P2", b"P3")
-
-    width, pos = _token_int(buf, pos, "width")
-    height, pos = _token_int(buf, pos, "height")
+    buf, magic, width, height, pos = _read_header(path, (b"P2", b"P3", b"P5", b"P6"))
     maxval, pos = _token_int(buf, pos, "maxval")
-    if width <= 0 or height <= 0:
-        raise MalformedHeaderError(f"bad dimensions {width}x{height}")
     if not 1 <= maxval <= 65535:
         raise UnsupportedMaxvalError(f"maxval {maxval} outside [1, 65535]")
+    color = magic in (b"P3", b"P6")
+    count = width * height * (3 if color else 1)
 
-    channels = 3 if color else 1
-    count = width * height * channels
-
-    if ascii_encoded:
-        tokens = []
+    if magic in (b"P2", b"P3"):
+        # No more tokens than bytes: a huge declared count must not overflow split.
+        tokens = _COMMENT.sub(b"", buf[pos:]).split(None, min(count, len(buf)))[:count]
         try:
-            while len(tokens) < count:
-                tok, pos = _next_token(buf, pos)
-                tokens.append(int(tok))
-        except MalformedHeaderError:
-            raise TruncatedPayloadError(
-                f"expected {count} samples, found {len(tokens)}"
-            ) from None
+            data = np.array([int(tok) for tok in tokens], dtype=np.float64)
         except ValueError:
             raise DecodeError("non-numeric ASCII sample") from None
-        data = np.array(tokens, dtype=np.float64)
+        if len(tokens) < count:
+            raise TruncatedPayloadError(f"expected {count} samples, found {len(tokens)}")
     else:
-        if pos >= len(buf) or buf[pos : pos + 1] not in _WHITESPACE:
-            raise MalformedHeaderError("missing whitespace before binary payload")
-        pos += 1
-        itemsize = 2 if maxval > 255 else 1
-        payload = buf[pos : pos + count * itemsize]
-        if len(payload) < count * itemsize:
-            raise TruncatedPayloadError(
-                f"payload holds {len(payload)} bytes, need {count * itemsize}"
-            )
-        dtype = ">u2" if maxval > 255 else "u1"
-        data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+        data = _binary_payload(buf, pos, count, ">u2" if maxval > 255 else "u1")
 
     if data.size and (data.min() < 0 or data.max() > maxval):
         raise DecodeError(
@@ -198,14 +183,7 @@ def read_pfm(path) -> GroundTruthDisparity:
     samples (Middlebury's +inf "unknown" convention) populate the invalid
     mask and appear as NaN in ``values``.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-
-    magic, pos = _next_token(buf, 0)
-    if magic != b"Pf":
-        raise MalformedHeaderError(f"bad PFM magic {magic!r} (expected grayscale 'Pf')")
-    width, pos = _token_int(buf, pos, "width")
-    height, pos = _token_int(buf, pos, "height")
+    buf, _, width, height, pos = _read_header(path, (b"Pf",))
     tok, pos = _next_token(buf, pos)
     try:
         scale = float(tok)
@@ -213,19 +191,8 @@ def read_pfm(path) -> GroundTruthDisparity:
         raise MalformedHeaderError(f"non-numeric scale {tok!r}") from None
     if scale == 0.0 or not np.isfinite(scale):
         raise MalformedHeaderError(f"scale {tok!r} is zero or not finite")
-    if width <= 0 or height <= 0:
-        raise MalformedHeaderError(f"bad dimensions {width}x{height}")
 
-    if pos >= len(buf) or buf[pos : pos + 1] not in _WHITESPACE:
-        raise MalformedHeaderError("missing whitespace before binary payload")
-    pos += 1
-    count = width * height
-    payload = buf[pos : pos + 4 * count]
-    if len(payload) < 4 * count:
-        raise TruncatedPayloadError(f"payload holds {len(payload)} bytes, need {4 * count}")
-
-    dtype = "<f4" if scale < 0 else ">f4"
-    flat = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    flat = _binary_payload(buf, pos, width * height, "<f4" if scale < 0 else ">f4")
     values = np.flipud(flat.reshape(height, width)).copy()
     invalid = ~np.isfinite(values)
     values[invalid] = np.nan
@@ -265,8 +232,8 @@ def write_pgm(values: np.ndarray, path, maxval: int = 255, scale_max: float = 1.
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
         raise ValueError(f"expected a non-empty 2-D array, got shape {values.shape}")
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval {maxval} outside [1, 65535]")
+    if not 1 <= maxval <= 65535 or maxval != int(maxval):  # NaN and inf fail the range
+        raise ValueError(f"maxval {maxval} is not an integer in [1, 65535]")
     if not 0 < scale_max < np.inf:  # NaN fails every comparison
         raise ValueError(f"scale_max must be positive and finite, got {scale_max}")
     scaled = np.round(np.nan_to_num(values, nan=0.0) / scale_max * maxval)
@@ -274,7 +241,7 @@ def write_pgm(values: np.ndarray, path, maxval: int = 255, scale_max: float = 1.
     dtype = ">u2" if maxval > 255 else "u1"
     height, width = values.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n{int(maxval)}\n".encode("ascii"))
         fh.write(scaled.astype(dtype).tobytes())
 
 
@@ -292,21 +259,27 @@ def read_calib(path) -> CalibInfo:
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
 
-    if "ndisp" not in entries:
+    ndisp = _calib_int(entries, "ndisp")
+    if ndisp is None:
         raise MissingKeyError("calib file lacks an ndisp entry")
-    try:
-        ndisp = int(float(entries["ndisp"]))
-    except (ValueError, OverflowError):  # int(inf) overflows
-        raise MalformedHeaderError(f"bad ndisp value {entries['ndisp']!r}") from None
     if ndisp < 1:
         raise MalformedHeaderError(f"ndisp must be >= 1, got {ndisp}")
+    return CalibInfo(ndisp=ndisp, width=_calib_int(entries, "width"),
+                     height=_calib_int(entries, "height"))
 
-    def _opt_int(key: str) -> int | None:
-        if key not in entries:
-            return None
-        try:
-            return int(float(entries[key]))
-        except (ValueError, OverflowError):
-            raise MalformedHeaderError(f"bad {key} value {entries[key]!r}") from None
 
-    return CalibInfo(ndisp=ndisp, width=_opt_int("width"), height=_opt_int("height"))
+def _calib_int(entries: dict[str, str], key: str) -> int | None:
+    """The integer value of ``key``, None when it is absent.
+
+    Integer-valued text such as ``64.0`` is accepted; fractional or
+    non-finite text is malformed.
+    """
+    if key not in entries:
+        return None
+    try:
+        value = float(entries[key])
+        if value.is_integer():  # False for inf and nan
+            return int(value)
+    except ValueError:
+        pass
+    raise MalformedHeaderError(f"bad {key} value {entries[key]!r}")

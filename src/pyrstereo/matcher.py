@@ -54,8 +54,8 @@ _REFINE_CHUNK = 4096
 # recomputes most block rows of its planes and windows.
 _BAND_ENTRIES = 1 << 19
 _BAND_MIN_ROWS = 16
-# Trusted pixels per window call of the trusted selection; bounds the
-# call's scratch memory to a fraction of a level's maps.
+# Pixels per window call of the trusted selection, in whole rows (at least
+# one); bounds the call's scratch memory to a fraction of a level's maps.
 _TRUSTED_GROUP = 1 << 15
 
 
@@ -229,7 +229,7 @@ def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
 
 def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, beta: float,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Maps set at the trusted pixels, by window calls over row groups; the mask; the counts.
+    """Maps set at the trusted pixels, by window calls over row ranges; the mask; the counts.
 
     A pixel whose prior cost exceeds ``beta`` is searched at {d_hat-1, d_hat,
     d_hat+1} within [0, d_max], a tie keeping the smaller disparity.  The
@@ -246,8 +246,9 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
 
     disparity, cost = np.empty((h, w)), np.empty((h, w))
     window_max, before = 0, engine.count
-    for top, bottom in _row_groups(trusted, _TRUSTED_GROUP):
-        ti, tj = np.nonzero(trusted[top:bottom])
+    step = max(1, _TRUSTED_GROUP // w)
+    for top in range(0, h, step):
+        ti, tj = np.nonzero(trusted[top:top + step])
         ti += top
         z0 = d_hat[ti, tj].astype(np.intp) - 1
         costs = engine.window(ti, tj, z0, 3)
@@ -263,26 +264,12 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
         disparity[ti, tj] = z0 + pick
         cost[ti, tj] = best
         legal = np.minimum(z0 + 2, d_max) - np.maximum(z0, 0) + 1
-        window_max = max(window_max, int(legal.max()))
+        window_max = max(window_max, int(legal.max(initial=0)))
     n, n_finite, n_confident = (int(np.count_nonzero(m)) for m in (trusted, finite, confident))
     return disparity, cost, trusted, dict(
         trusted=n, trusted_evals=engine.count - before, trusted_window_max=window_max,
         full_search_pixels=h * w - n, fallback_nan_prior=h * w - n_finite,
         fallback_low_prior=n_finite - n_confident, fallback_out_of_range=n_confident - n)
-
-
-def _row_groups(mask: np.ndarray, limit: int):
-    """Row ranges that cover every set pixel of ``mask``, top to bottom.
-
-    Each range starts at a row with a set pixel and holds at most ``limit``
-    of them, unless that row alone holds more.
-    """
-    ends = np.cumsum(np.count_nonzero(mask, axis=1))
-    done = 0
-    while (top := int(np.searchsorted(ends, done, side="right"))) < mask.shape[0]:
-        bottom = max(int(np.searchsorted(ends, done + limit, side="right")), top + 1)
-        yield top, bottom
-        done = ends[bottom - 1]
 
 
 def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,

@@ -126,6 +126,11 @@ def test_compute_validation_exit_codes(pair, tmp_path):
     calib.write_text("ndisp=inf\n")
     assert main(["compute", str(left), str(right), "--calib", str(calib),
                  "--out", out]) == EXIT_DECODE
+    # So is a fractional ndisp, width or height.
+    for text in ("ndisp=12.7\n", "ndisp=8\nwidth=64.5\n", "ndisp=8\nheight=0.5\n"):
+        calib.write_text(text)
+        assert main(["compute", str(left), str(right), "--calib", str(calib),
+                     "--out", out]) == EXIT_DECODE
 
 
 def test_pair_of_different_sizes_exits_config(pair, tmp_path, capsys):
@@ -278,6 +283,17 @@ def test_eval_error_exits(tmp_path, pair):
     nan_header.write_bytes(b"Pf\n2 2\nnan\n" + bytes(16))
     assert main(["eval", str(out / "disparity.pfm"), str(nan_header),
                  "--out", str(tmp_path / "e4")]) == EXIT_DECODE
+    # A trace file that is not JSON, not ASCII, or not shaped like a trace.
+    bad_trace = tmp_path / "bad_trace.json"
+    for content in (b'{"levels": [', b'{"note": "\xc3\xa9"}', b"[1, 2]",
+                    b'{"total_evals": 5, "levels": [{"level": 0}]}',
+                    b'{"levels": 7}', b'{"levels": [[0.5]]}'):
+        bad_trace.write_bytes(content)
+        assert main(["eval", str(out / "disparity.pfm"), str(out / "disparity.pfm"),
+                     "--trace", str(bad_trace), "--out", str(tmp_path / "e5")]) == EXIT_DECODE
+    assert main(["eval", str(out / "disparity.pfm"), str(out / "disparity.pfm"),
+                 "--trace", str(tmp_path / "nope.json"),
+                 "--out", str(tmp_path / "e6")]) == EXIT_IO
 
 
 def _make_scene(root, name, shift, seed):

@@ -1,10 +1,12 @@
 """PGM/PPM, PFM and calib codec tests."""
 
+import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pyrstereo import (
@@ -19,6 +21,7 @@ from pyrstereo import (
     write_pfm,
     write_pgm,
 )
+from pyrstereo.formats import _next_token
 
 
 def test_p5_normalization(tmp_path):
@@ -86,6 +89,13 @@ def test_pgm_round_trip_8bit_quantization(tmp_path):
         np.testing.assert_array_equal(back, np.round(img * 255) / 255)
 
 
+def test_pgm_integer_valued_float_maxval(tmp_path):
+    path = tmp_path / "f.pgm"
+    write_pgm(np.full((2, 3), 0.5), path, maxval=1023.0)
+    assert path.read_bytes().startswith(b"P5\n3 2\n1023\n")
+    np.testing.assert_array_equal(read_pnm(path), np.full((2, 3), 512 / 1023))
+
+
 def test_pgm_disparity_preview_scaling(tmp_path):
     path = tmp_path / "p.pgm"
     write_pgm(np.full((3, 4), 10.0), path, maxval=255, scale_max=64.0)
@@ -116,6 +126,9 @@ def test_write_errors(tmp_path):
     for scale_max in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             write_pgm(np.zeros((2, 2)), tmp_path / "e.pgm", scale_max=scale_max)
+    for maxval in (300.5, 0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            write_pgm(np.zeros((2, 2)), tmp_path / "e.pgm", maxval=maxval)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +227,22 @@ def test_calib_infinite_value_is_malformed(tmp_path, text):
         read_calib(path)
 
 
+@pytest.mark.parametrize("text", ["ndisp=12.7\n", "ndisp=nan\n", "ndisp=64\nwidth=450.5\n",
+                                  "ndisp=64\nheight=1e-3\n"])
+def test_calib_fractional_value_is_malformed(tmp_path, text):
+    path = tmp_path / "calib.txt"
+    path.write_text(text)
+    with pytest.raises(MalformedHeaderError):
+        read_calib(path)
+
+
+def test_calib_integer_valued_text(tmp_path):
+    path = tmp_path / "calib.txt"
+    path.write_text("ndisp=64.0\nwidth=4.5e2\nheight=375.000\n")
+    calib = read_calib(path)
+    assert (calib.ndisp, calib.width, calib.height) == (64, 450, 375)
+
+
 def test_calib_missing_ndisp(tmp_path):
     path = tmp_path / "calib.txt"
     path.write_text("width=100\nheight=100\n")
@@ -260,3 +289,63 @@ def test_declared_size_never_drives_allocation(tmp_path, data):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _reference_tokens(buf: bytes) -> list[bytes]:
+    return re.sub(rb"#[^\r\n]*", b"", buf).split()
+
+
+_SPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"])
+# Comment text may hold anything but a line end: '#', whitespace, token bytes.
+_COMMENT = st.binary(max_size=8).map(
+    lambda text: b"#" + text.replace(b"\r", b"").replace(b"\n", b""))
+
+
+def _streams(token):
+    """Tokens, whitespace and comments in any order; a comment may cut a
+    token, close a line or end the stream with no newline."""
+    piece = st.one_of(token, _SPACE, _COMMENT, _COMMENT.map(lambda c: c + b"\n"))
+    return st.lists(piece, max_size=30).map(b"".join)
+
+
+# Any bytes but whitespace and '#', non-ASCII and control bytes too.
+_ANY_TOKEN = st.binary(min_size=1, max_size=4).map(
+    lambda b: bytes(c for c in b if c not in b" \t\r\n\x0b\x0c#")).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_streams(_ANY_TOKEN))
+@example(b"P2 #c\n 3# tail 4\n5\x0b#eof")
+def test_header_tokens_are_the_text_left_after_comments(buf):
+    tokens, pos = [], 0
+    while True:
+        try:
+            tok, pos = _next_token(buf, pos)
+        except MalformedHeaderError:
+            break
+        tokens.append(tok)
+    assert tokens == _reference_tokens(buf)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_streams(st.integers(0, 999).map(b"%d".__mod__)))
+@example(b"1#2 3\n 4 #5\n6#eof")
+def test_ascii_samples_are_the_text_left_after_comments(tmp_path, stream):
+    samples = [int(tok) for tok in _reference_tokens(stream)]
+    assume(samples and max(samples) <= 65535)
+    path = tmp_path / "s.pgm"
+    path.write_bytes(b"P2\n%d 1\n65535\n" % len(samples) + stream)
+    np.testing.assert_array_equal(read_pnm(path), np.array([samples]) / 65535.0)
+    path.write_bytes(b"P2\n%d 1\n65535\n" % (len(samples) + 1) + stream)
+    with pytest.raises(TruncatedPayloadError):
+        read_pnm(path)
+
+
+def test_truncated_p2_with_long_whitespace_tail_fails_fast(tmp_path):
+    path = tmp_path / "tail.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n1 2 3" + b" " * 10**6)
+    t0 = time.perf_counter()
+    with pytest.raises(TruncatedPayloadError):
+        read_pnm(path)
+    assert time.perf_counter() - t0 < 0.5
