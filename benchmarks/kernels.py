@@ -5,15 +5,18 @@
 Run from the repository root; the package is imported from ``src/`` of
 this checkout and the scenes from ``stereobench/scenes.py``.  For each
 size (height x width x d_max) one layered scene is matched by
-``run_pipeline`` and the level-0 engine's requests are recorded.  Three
+``run_pipeline`` and the level-0 engine's requests are recorded.  Four
 paths are then timed on that engine, one after the other in each repeat:
 
 - ``plane``: every plane 0..d_max;
+- ``band planes``: every plane again, a band of rows at a time as the band
+  pass takes them when no pixel of a band is trusted, each band continuing
+  from the block-row sums of the band above;
 - ``window nz=3``: the trusted three-candidate windows that ``run_pipeline``
   asks for at level 0, in the same row ranges, one ``window`` call each;
 - ``dsi_rows``: full vectors of every other pixel, the fallback request.
 
-Before timing, the three paths must agree bit for bit on every entry they
+Before timing, the four paths must agree bit for bit on every entry they
 share.  Each row prints the median and quartiles over the repeats of
 seconds divided by entries computed (pixels times window length, counted
 or not).  The last line is one JSON object with the same figures.
@@ -29,6 +32,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -76,12 +80,33 @@ def level0_requests(scene, config):
     return engine, ranges, np.nonzero(~trusted)
 
 
+def band_planes(engine):
+    """Every plane, one band pass band of rows at a time: yields (nz, rows, w) arrays.
+
+    The bands are as tall as the band pass makes them on this engine's level.
+    """
+    h, w, nz = engine.height, engine.width, engine.d_max + 1
+    band = min(h, max(matcher._BAND_MIN_ROWS, matcher._BAND_ENTRIES // (w * nz)))
+    sums = None
+    for top in range(0, h, band):
+        planes = np.empty((nz, min(band, h - top), w))
+        sums = engine._planes(0, top, planes, sums)
+        yield planes
+
+
 def check_agreement(engine, trusted, fallback) -> None:
     """Every path gives the same bits for every entry it shares with a plane."""
     windows = [(ti, tj, z0, engine.window(ti, tj, z0, 3)) for ti, tj, z0 in trusted]
     vectors = engine.dsi_rows(*fallback)
+    # Band planes by digest, plane by plane: the bands' rows in order are the plane's bytes.
+    banded = [hashlib.sha256() for _ in range(engine.d_max + 1)]
+    for planes in band_planes(engine):
+        for digest, rows in zip(banded, planes):
+            digest.update(rows.tobytes())
     for z in range(engine.d_max + 1):
         plane = engine.plane(z)
+        if banded[z].digest() != hashlib.sha256(plane.tobytes()).digest():
+            raise AssertionError(f"band planes differ from plane {z}")
         if not np.array_equal(plane[fallback], vectors[:, z]):
             raise AssertionError(f"dsi_rows differs from plane {z}")
         for ti, tj, z0, costs in windows:
@@ -95,8 +120,11 @@ def time_paths(engine, trusted, fallback, repeats: int) -> dict:
     """ns per computed entry of each path, alternating paths in every repeat."""
     nz = engine.d_max + 1
     paths = {
-        "plane": (lambda: [engine.plane(z) for z in range(nz)],
+        # Each plane or band is dropped as the next is made, as the matcher does.
+        "plane": (lambda: sum(1 for _ in map(engine.plane, range(nz))),
                   engine.height * engine.width * nz),
+        "band planes": (lambda: sum(1 for _ in band_planes(engine)),
+                        engine.height * engine.width * nz),
         "window nz=3": (lambda: [engine.window(*group, 3) for group in trusted],
                         3 * sum(group[0].size for group in trusted)),
         f"dsi_rows nz={nz}": (lambda: engine.dsi_rows(*fallback), fallback[0].size * nz),

@@ -156,6 +156,8 @@ def read_pnm(path) -> np.ndarray:
             data = np.array([int(tok) for tok in tokens], dtype=np.float64)
         except ValueError:
             raise DecodeError("non-numeric ASCII sample") from None
+        except OverflowError:  # too many digits for a float, so far outside [0, maxval]
+            raise DecodeError(f"ASCII sample outside [0, {maxval}]") from None
         if len(tokens) < count:
             raise TruncatedPayloadError(f"expected {count} samples, found {len(tokens)}")
     else:
@@ -248,7 +250,8 @@ def write_pgm(values: np.ndarray, path, maxval: int = 255, scale_max: float = 1.
 def read_calib(path) -> CalibInfo:
     """Parse a Middlebury calib.txt, keeping ndisp (required) and dims.
 
-    Raises :class:`MissingKeyError` when ndisp is absent.
+    Raises :class:`MissingKeyError` when ndisp is absent and
+    :class:`MalformedHeaderError` when ndisp, width or height is below 1.
     """
     entries: dict[str, str] = {}
     with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -262,10 +265,11 @@ def read_calib(path) -> CalibInfo:
     ndisp = _calib_int(entries, "ndisp")
     if ndisp is None:
         raise MissingKeyError("calib file lacks an ndisp entry")
-    if ndisp < 1:
-        raise MalformedHeaderError(f"ndisp must be >= 1, got {ndisp}")
-    return CalibInfo(ndisp=ndisp, width=_calib_int(entries, "width"),
-                     height=_calib_int(entries, "height"))
+    width, height = _calib_int(entries, "width"), _calib_int(entries, "height")
+    for key, value in (("ndisp", ndisp), ("width", width), ("height", height)):
+        if value is not None and value < 1:
+            raise MalformedHeaderError(f"{key} must be >= 1, got {value}")
+    return CalibInfo(ndisp=ndisp, width=width, height=height)
 
 
 def _calib_int(entries: dict[str, str], key: str) -> int | None:

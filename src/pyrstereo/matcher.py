@@ -50,8 +50,9 @@ __all__ = [
 # Low-cost pixels whose neighbor sums or median windows are held at a time.
 _REFINE_CHUNK = 4096
 # Full cost vectors one band of rows may hold (rows times width times
-# disparities), unless that is under _BAND_MIN_ROWS rows: a shorter band
-# recomputes most block rows of its planes and windows.
+# disparities), unless that is under _BAND_MIN_ROWS rows: the window kernel
+# recomputes the b-1 block rows a band shares with the band above, most of a
+# shorter band's rows.  Planes carry those rows' sums from a dense band instead.
 _BAND_ENTRIES = 1 << 19
 _BAND_MIN_ROWS = 16
 # Pixels per window call of the trusted selection, in whole rows (at least
@@ -321,6 +322,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         return store[start:start + i.shape[0]]
 
     refined, refine_evals, refine_seconds = 0, 0, 0.0
+    sums = None  # the last dense band's block-row sums, shared with the band below
     for top in range(0, h + band, band):  # the step past the end refines the last band
         if top < h:
             bottom = min(top + band, h)
@@ -328,13 +330,15 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             full = ~trusted[top:bottom]
             fi, fj = np.nonzero(full)
             fi += top
+            dense = full.all()
+            if not dense:
+                sums = None  # planes continue block-row sums from a dense band only
             if fi.size:
                 vectors = claim(fi, fj)
-                if full.all():
+                if dense:
                     # One transposing copy: plane by plane touches each store row nz times.
                     planes = np.empty((nz, bottom - top, w))
-                    for z, plane in enumerate(planes):
-                        engine._rows(z, top, bottom, plane)
+                    sums = engine._planes(0, top, planes, sums)
                     vectors.reshape(bottom - top, w, nz)[...] = planes.transpose(1, 2, 0)
                     del planes
                 else:

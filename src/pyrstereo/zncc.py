@@ -19,10 +19,16 @@ thread.  It adds every (pixel, disparity) entry it computes to the integer
 evaluation paths, and both read one right image zero-padded by d_max+2
 columns on each side, so the padding alone applies the out-of-range rule:
 
-- planes (``plane``): every pixel at one disparity, a band of rows at a
-  time; a full search can take them one at a time and hold O(H*W)
-  memory instead of the whole volume.  The matcher's band pass takes the
-  planes of one band of rows through the same routine;
+- planes (``plane``): every pixel at one disparity; a full search can
+  take them one at a time and hold O(H*W) memory instead of the whole
+  volume.  One routine fills a run of disparities over a range of rows,
+  in passes of at most ``_PLANE_BAND`` entries: a tall range takes one
+  disparity per pass, a short one several.  A block row's sum is
+  computed once: the b-1 padded rows a range shares with the adjacent
+  range above arrive as that range's sums, and the range leaves its own
+  last b-1 for the range below.  ``plane`` walks the level so, and the
+  matcher's band pass takes a dense band's planes the same way, carrying
+  the sums from band to band;
 - the window kernel (``window``): a sparse pixel set, each pixel at its
   own run of consecutive disparities; each distinct block row is
   correlated once across the run and shared by the vertically adjacent
@@ -110,7 +116,10 @@ class CostEngine:
     arrays: the padded columns are degenerate, so a right block outside the
     image costs -1 on either path without a separate check; a right block
     is degenerate wherever its padded deviation is below ``SIGMA_EPS``.
-    The window kernel reads the same arrays flattened, by flat index.  The
+    Planes read a run of disparities as one strided view of column windows
+    and carry block-row sums between adjacent row ranges, so no padded
+    row's products are computed twice along a level.  The window kernel
+    reads the same arrays flattened, by flat index.  The
     paths share statistics, degeneracy decisions, the order of the cross
     sums and the normalization, so they return the same bits for the same
     entry.
@@ -152,6 +161,12 @@ class CostEngine:
         self._rpz = np.pad(np.pad(right, self.half, mode="edge"), side)
         self._mean_rz = np.pad(mean_r, side)
         self._sigma_rz = np.pad(sigma_r, side)
+        # Planes read these arrays as windows of columns: index s of a view is
+        # the columns from s on of every row, as wide as a plane reads them.
+        self._columns = tuple(sliding_window_view(a, n, axis=1).transpose(1, 0, 2)
+                              for a, n in ((self._rpz, self._lp.shape[1]),
+                                           (self._mean_rz, self.width),
+                                           (self._sigma_rz, self.width)))
 
     def _stats(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = uniform_filter(img, size=self.block, mode="nearest")
@@ -170,45 +185,81 @@ class CostEngine:
         return self._pad + z0
 
     def plane(self, z: int) -> np.ndarray:
-        """Costs of every pixel at one disparity, a band of rows at a time.
+        """Costs of every pixel at one disparity.
 
-        Each entry adds the centred images' block products in the one order
-        the window kernel uses, along each block row and then over the
-        rows, so ``plane(z)[i, j]`` has the same bits as
-        ``window([i], [j], z, 1)``.
+        The level is walked in passes of ``_PLANE_BAND // width`` rows, each
+        continuing from the block-row sums of the pass above.  Each entry
+        adds the centred images' block products in the one order the window
+        kernel uses, along each block row and then over the rows, so
+        ``plane(z)[i, j]`` has the same bits as ``window([i], [j], z, 1)``.
         """
         z = int(z)
         if not 0 <= z <= self.d_max:
             raise ValueError(f"disparity {z} outside [0, {self.d_max}]")
-        return self._rows(z, 0, self.height, np.empty((self.height, self.width)))
+        cost = np.empty((1, self.height, self.width))
+        self._planes(z, 0, cost)
+        return cost[0]
 
-    def _rows(self, z: int, top: int, bottom: int, cost: np.ndarray) -> np.ndarray:
-        """Plane ``z`` over rows top..bottom-1 into ``cost``, a band at a time."""
-        w, b = self.width, self.block
-        s = self._right_start(z)
-        band = max(1, _PLANE_BAND // w)
-        for i0 in range(top, bottom, band):
-            n = min(band, bottom - i0)
-            # Products of the padded images at the z-column offset, summed
-            # along each block row (b column shifts, in order t) and then
-            # over the block (b row shifts, in order p).
-            rows = np.s_[i0:i0 + n + b - 1]
-            prod = self._lp[rows] * self._rpz[rows, s:s + w + b - 1]
-            rsum = prod[:, :w].copy()
-            for t in range(1, b):
-                rsum += prod[:, t:t + w]
-            del prod
-            cross = cost[i0 - top:i0 - top + n]
-            np.copyto(cross, rsum[:n])
-            for p in range(1, b):
-                cross += rsum[p:p + n]
-            del rsum
-            left, right = np.s_[i0:i0 + n], np.s_[i0:i0 + n, s:s + w]
-            self._normalize(cross, self._ok_l[left] & (self._sigma_rz[right] >= SIGMA_EPS),
-                            self.mean_l[left], self._mean_rz[right],
-                            self.sigma_l[left], self._sigma_rz[right])
-        self.count += (bottom - top) * w
-        return cost
+    def _planes(self, z0: int, top: int, cost: np.ndarray, sums=None) -> np.ndarray:
+        """Planes z0..z0+g-1 over rows top..top+n-1 into ``cost``, shape (g, n, w).
+
+        Block row r of a pixel in row i is padded row i+r, and its sum adds
+        the block's b products along the row in order t.  ``sums`` holds, per
+        disparity, the sums of padded rows top..top+b-2, the b-1 rows this
+        range shares with the adjacent range above; None computes them.  The
+        sums of the b-1 padded rows the range below shares are returned, in
+        ``sums`` itself when it is given.
+
+        Each pass holds at most ``_PLANE_BAND`` entries, rows times width
+        times disparities: passes of one disparity down a tall range,
+        several disparities over a short one.  A pass reads the right image
+        and statistics at its disparities as strided window views over
+        columns, so nothing is gathered.
+        """
+        g, n, w = cost.shape
+        b = self.block
+        rows = min(n, max(1, _PLANE_BAND // w))
+        run = max(1, _PLANE_BAND // (rows * w))
+        carried = sums is not None
+        if not carried:
+            sums = np.empty((g, b - 1, w))
+        for k0 in range(0, g, run):
+            k1 = min(k0 + run, g)
+            # Index k of each view is disparity z0+k0+k: the views' columns
+            # run against the disparities under the Middlebury sign.
+            s = self._right_start(z0 + k0, k1 - k0)
+            right, mean_r, sigma_r = (v[s:s + k1 - k0] for v in self._columns)
+            if self.sign == SIGN_MIDDLEBURY:
+                right, mean_r, sigma_r = right[::-1], mean_r[::-1], sigma_r[::-1]
+            for i0 in range(top, top + n, rows):
+                m = min(rows, top + n - i0)
+                # Block-row sums of padded rows i0..i0+m+b-2; the first b-1
+                # come from the pass above when there is one.
+                rsum = np.empty((k1 - k0, m + b - 1, w))
+                kept = b - 1 if carried or i0 > top else 0
+                rsum[:, :kept] = sums[k0:k1, :kept]
+                # The other rows' products, summed along the row: b column
+                # shifts, in order t.
+                padded = np.s_[i0 + kept:i0 + m + b - 1]
+                prod = self._lp[padded] * right[:, padded]
+                fresh = rsum[:, kept:]
+                np.copyto(fresh, prod[..., :w])
+                for t in range(1, b):
+                    fresh += prod[..., t:t + w]
+                del prod, fresh  # the view would keep rsum alive past its del
+                sums[k0:k1] = rsum[:, m:]
+                # Over the block: b row shifts, in order p.
+                cross = cost[k0:k1, i0 - top:i0 - top + m]
+                np.copyto(cross, rsum[:, :m])
+                for p in range(1, b):
+                    cross += rsum[:, p:p + m]
+                del rsum
+                band = np.s_[i0:i0 + m]
+                self._normalize(cross, self._ok_l[band] & (sigma_r[:, band] >= SIGMA_EPS),
+                                self.mean_l[band], mean_r[:, band],
+                                self.sigma_l[band], sigma_r[:, band])
+        self.count += g * n * w
+        return sums
 
     def window(self, rows: np.ndarray, cols: np.ndarray, z0, nz: int) -> np.ndarray:
         """Costs of each pixel at disparities z0..z0+nz-1, shape (S, nz).

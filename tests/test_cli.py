@@ -121,13 +121,18 @@ def test_compute_validation_exit_codes(pair, tmp_path):
     bad.write_bytes(b"P5\n4 4\n255\nxx")
     assert main(["compute", str(left), str(bad), "--dmax", "8",
                  "--out", out]) == EXIT_DECODE
+    # An ASCII sample too large for a float is a decode error, not a crash.
+    bad.write_bytes(b"P2\n1 1\n255\n" + b"9" * 401 + b"\n")
+    assert main(["compute", str(left), str(bad), "--dmax", "8",
+                 "--out", out]) == EXIT_DECODE
     # An infinite ndisp is a malformed header, not a crash.
     calib = tmp_path / "calib.txt"
     calib.write_text("ndisp=inf\n")
     assert main(["compute", str(left), str(right), "--calib", str(calib),
                  "--out", out]) == EXIT_DECODE
-    # So is a fractional ndisp, width or height.
-    for text in ("ndisp=12.7\n", "ndisp=8\nwidth=64.5\n", "ndisp=8\nheight=0.5\n"):
+    # So is a fractional ndisp, width or height, or one below 1.
+    for text in ("ndisp=12.7\n", "ndisp=8\nwidth=64.5\n", "ndisp=8\nheight=0.5\n",
+                 "ndisp=0\n", "ndisp=8\nwidth=-5\n", "ndisp=8\nheight=0\n"):
         calib.write_text(text)
         assert main(["compute", str(left), str(right), "--calib", str(calib),
                      "--out", out]) == EXIT_DECODE

@@ -142,6 +142,7 @@ def test_write_errors(tmp_path):
         (b"P5\n2 2\n70000\n" + bytes(16), UnsupportedMaxvalError),
         (b"P5\n2 2\n255", MalformedHeaderError),
         (b"P2\n2 2\n100\n1 2 3 101\n", DecodeError),
+        (b"P2\n1 1\n255\n" + b"9" * 401 + b"\n", DecodeError),  # too large for a float
         (b"P5\n2 2\n100\n" + bytes([0, 50, 100, 255]), DecodeError),
     ],
 )

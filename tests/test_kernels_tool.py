@@ -17,7 +17,7 @@ def test_kernel_timings_run_at_a_tiny_size(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     rows = report["48x64x8"]
-    assert set(rows) == {"plane", "window nz=3", "dsi_rows nz=9"}
+    assert set(rows) == {"plane", "band planes", "window nz=3", "dsi_rows nz=9"}
     assert rows["window nz=3"]["entries"] > 0 and rows["dsi_rows nz=9"]["entries"] > 0
     for row in rows.values():
         assert all(ns > 0 for ns in row["ns_per_entry"])

@@ -373,8 +373,9 @@ def test_untrusted_pair_peak_stays_near_block_matching():
     peak = _traced_peak(lambda: run_pipeline(left, right, MatchConfig(d_max=64)))
     bm_peak = _traced_peak(lambda: baseline_bm(left, right, 64, 11))
     # A whole level's vectors, or every low pixel's median window at once,
-    # took eight times the baseline.
-    assert peak < 4 * bm_peak
+    # took eight times the baseline; the band pass's compact store takes
+    # about 2.4 times.
+    assert peak < 3 * bm_peak
 
 
 def test_layered_pair_peak_within_twice_block_matching():

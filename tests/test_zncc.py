@@ -133,7 +133,7 @@ def test_plane_and_gather_match_naive_dsi():
 
 
 @st.composite
-def _dsi_requests(draw):
+def _dsi_requests(draw, max_height=5):
     """A small pair, an engine setting and a request of pixels.
 
     Shapes go down to one row and widths below d_max; grey levels are
@@ -142,7 +142,7 @@ def _dsi_requests(draw):
     order, plus repeats.
     """
     block = draw(st.sampled_from([3, 5, 11]))
-    height = draw(st.integers(1, 5))
+    height = draw(st.integers(1, max_height))
     width = draw(st.integers(1, 8))
     d_max = draw(st.integers(0, width + 3))
     sign = draw(st.sampled_from(["middlebury", "paper"]))
@@ -169,6 +169,48 @@ def test_dsi_rows_matches_naive_vectors(request):
     for k, (i, j) in enumerate(zip(rows, cols)):
         expected = naive_dsi_vector(left, right, i, j, block // 2, d_max, sign=sign)
         np.testing.assert_allclose(got[k], expected, rtol=0, atol=1e-9)
+
+
+@st.composite
+def _plane_splits(draw):
+    """A pair and engine setting as in _dsi_requests, the row starts of
+    adjacent row ranges, the starts of runs of disparities, and a pass size
+    in entries, from one row of one disparity to the whole level.  Ranges
+    and passes come shorter and longer than the b-1 rows they carry."""
+    left, right, block, d_max, sign, _, _ = draw(_dsi_requests(max_height=16))
+    height = left.shape[0]
+    tops = draw(st.sets(st.integers(1, height), max_size=5)) - {height}
+    starts = draw(st.sets(st.integers(1, d_max + 1), max_size=4)) - {d_max + 1}
+    entries = draw(st.one_of(st.integers(1, 64), st.just(1 << 16)))
+    return (left, right, block, d_max, sign, [0, *sorted(tops), height],
+            [0, *sorted(starts), d_max + 1], entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plane_splits())
+def test_planes_in_any_split_match_plane_and_naive_costs(split):
+    # Ranges shorter than the b-1 rows they carry, several disparities per
+    # pass, and runs that are no multiple of a pass's disparity count.
+    left, right, block, d_max, sign, tops, starts, entries = split
+    height, width = left.shape
+    engine = CostEngine(left, right, block=block, d_max=d_max, sign=sign)
+    got = np.empty((d_max + 1, height, width))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("pyrstereo.zncc._PLANE_BAND", entries)
+        for z0, z1 in zip(starts, starts[1:]):
+            sums = None
+            for top, bottom in zip(tops, tops[1:]):
+                carried = sums
+                sums = engine._planes(z0, top, got[z0:z1, top:bottom], sums)
+                assert sums.shape == (z1 - z0, block - 1, width)
+                assert carried is None or sums is carried  # updated in place
+    assert engine.count == got.size
+    for z in range(d_max + 1):
+        np.testing.assert_array_equal(got[z], engine.plane(z))
+        for i in range(height):
+            for j in range(width):
+                expected = naive_cost(left, right, i, j, z, block // 2, sign=sign)
+                assert abs(got[z, i, j] - expected) <= 1e-9
 
 
 @st.composite
