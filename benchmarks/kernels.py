@@ -70,14 +70,7 @@ def level0_requests(scene, config):
     finally:
         matcher._select_trusted = select
     engine, d_hat, trusted = seen[-1]  # level 0 is matched last
-    ranges = []
-    step = max(1, matcher._TRUSTED_GROUP // engine.width)
-    for top in range(0, engine.height, step):
-        ti, tj = np.nonzero(trusted[top:top + step])
-        ti += top
-        # The window around each trusted pixel's prior.
-        ranges.append((ti, tj, d_hat[ti, tj].astype(np.intp) - 1))
-    return engine, ranges, np.nonzero(~trusted)
+    return engine, list(matcher._trusted_windows(trusted, d_hat)), np.nonzero(~trusted)
 
 
 def band_planes(engine):
@@ -86,7 +79,7 @@ def band_planes(engine):
     The bands are as tall as the band pass makes them on this engine's level.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
-    band = min(h, max(matcher._BAND_MIN_ROWS, matcher._BAND_ENTRIES // (w * nz)))
+    band = matcher._band_rows(h, w, nz)
     sums = None
     for top in range(0, h, band):
         planes = np.empty((nz, min(band, h - top), w))

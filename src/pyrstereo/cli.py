@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .baseline import baseline_bm
 from .evaluation import evaluate
-from .formats import DecodeError, read_calib, read_pfm, read_pnm, write_pfm, write_pgm
+from .formats import CalibInfo, DecodeError, read_calib, read_pfm, read_pnm, write_pfm, write_pgm
 from .matcher import ConfigError, MatchConfig, run_pipeline
 
 EXIT_OK = 0
@@ -100,23 +100,34 @@ def _add_io_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
 
 
-def _resolve_dmax(args) -> tuple[int, str | None]:
-    calib_path = getattr(args, "calib", None)
-    if calib_path is not None:
-        calib = read_calib(calib_path)
+def _resolve_dmax(args) -> tuple[int, CalibInfo | None]:
+    if args.calib is not None:
+        calib = read_calib(args.calib)
         if args.dmax is not None and args.dmax != calib.ndisp:
             print(
                 f"warning: --dmax {args.dmax} overridden by calib ndisp={calib.ndisp}",
                 file=sys.stderr,
             )
-        return calib.ndisp, calib_path
+        return calib.ndisp, calib
     if args.dmax is None:
         raise ConfigError("either --dmax or --calib is required")
     return args.dmax, None
 
 
-def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
-    return read_pnm(args.left), read_pnm(args.right)
+def _check_calib_size(calib: CalibInfo, image: np.ndarray, calib_path: str) -> None:
+    """Raises ConfigError when the calib's width or height, if given, differs from the image's."""
+    height, width = image.shape
+    if calib.width not in (None, width) or calib.height not in (None, height):
+        raise ConfigError(
+            f"{calib_path} gives width {calib.width or '?'} and height {calib.height or '?'}, "
+            f"but the images are {width}x{height} (width x height)")
+
+
+def _load_pair(args, calib: CalibInfo | None) -> tuple[np.ndarray, np.ndarray]:
+    left, right = read_pnm(args.left), read_pnm(args.right)
+    if calib is not None:
+        _check_calib_size(calib, left, args.calib)
+    return left, right
 
 
 def _write_maps(out_dir: str, disparity: np.ndarray, cost: np.ndarray,
@@ -132,15 +143,14 @@ def _write_maps(out_dir: str, disparity: np.ndarray, cost: np.ndarray,
     return paths
 
 
-def _write_manifest(command: str, args, calib_path: str | None, config: dict,
-                    outputs: dict, timings: dict) -> None:
+def _write_manifest(command: str, args, config: dict, outputs: dict, timings: dict) -> None:
     manifest = {
         "command": command,
         "version": __version__,
         "inputs": {
             "left": os.path.abspath(args.left),
             "right": os.path.abspath(args.right),
-            "calib": os.path.abspath(calib_path) if calib_path else None,
+            "calib": os.path.abspath(args.calib) if args.calib else None,
         },
         "config": config,
         "outputs": outputs,
@@ -151,12 +161,12 @@ def _write_manifest(command: str, args, calib_path: str | None, config: dict,
 
 def cmd_compute(args) -> int:
     t_total = time.perf_counter()
-    d_max, calib_path = _resolve_dmax(args)
+    d_max, calib = _resolve_dmax(args)
     config = MatchConfig(d_max=d_max, levels=args.levels, block=args.block,
                          alpha=args.alpha, beta=args.beta, sign=args.sign)
 
     t0 = time.perf_counter()
-    left, right = _load_pair(args)
+    left, right = _load_pair(args, calib)
     read_seconds = time.perf_counter() - t0
 
     disparity, cost, trace = run_pipeline(left, right, config)
@@ -170,7 +180,7 @@ def cmd_compute(args) -> int:
     _write_report(trace.to_dict(), trace_stem)
 
     _write_manifest(
-        "compute", args, calib_path,
+        "compute", args,
         config={**asdict(config), "levels": len(trace.levels) - 1},
         outputs={**paths, "trace_json": trace_stem + ".json"},
         timings={
@@ -190,8 +200,8 @@ def cmd_compute(args) -> int:
 
 def cmd_baseline(args) -> int:
     t_total = time.perf_counter()
-    d_max, calib_path = _resolve_dmax(args)
-    left, right = _load_pair(args)
+    d_max, calib = _resolve_dmax(args)
+    left, right = _load_pair(args, calib)
 
     t0 = time.perf_counter()
     disparity, cost, evals = baseline_bm(left, right, d_max, args.block, sign=args.sign)
@@ -211,7 +221,7 @@ def cmd_baseline(args) -> int:
     _write_report(trace, os.path.join(args.out, "trace"))
 
     _write_manifest(
-        "baseline", args, calib_path,
+        "baseline", args,
         config={"d_max": d_max, "block": args.block, "sign": args.sign},
         outputs={**paths, "trace_json": os.path.join(args.out, "trace.json")},
         timings={"total_seconds": time.perf_counter() - t_total},
@@ -266,6 +276,7 @@ def _bench_scene(scene: str, paths: tuple[str, str, str, str], args) -> dict:
     calib = read_calib(calib_path)
     left = read_pnm(left_path)
     right = read_pnm(right_path)
+    _check_calib_size(calib, left, calib_path)
     gt = read_pfm(gt_path)
     config = MatchConfig(d_max=calib.ndisp, levels=args.levels, block=args.block,
                          alpha=args.alpha, beta=args.beta, sign=args.sign)

@@ -228,6 +228,20 @@ def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
     return d_hat, np.clip(c_hat, -1.0, 1.0)
 
 
+def _trusted_windows(trusted: np.ndarray, d_hat: np.ndarray):
+    """Yields (rows, cols, z0) of the trusted pixels per range of whole rows.
+
+    A range holds about ``_TRUSTED_GROUP`` pixels, and at least one row; z0
+    is each pixel's window start, one below its prior.
+    """
+    h, w = trusted.shape
+    step = max(1, _TRUSTED_GROUP // w)
+    for top in range(0, h, step):
+        ti, tj = np.nonzero(trusted[top:top + step])
+        ti += top
+        yield ti, tj, d_hat[ti, tj].astype(np.intp) - 1
+
+
 def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, beta: float,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Maps set at the trusted pixels, by window calls over row ranges; the mask; the counts.
@@ -247,11 +261,7 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
 
     disparity, cost = np.empty((h, w)), np.empty((h, w))
     window_max, before = 0, engine.count
-    step = max(1, _TRUSTED_GROUP // w)
-    for top in range(0, h, step):
-        ti, tj = np.nonzero(trusted[top:top + step])
-        ti += top
-        z0 = d_hat[ti, tj].astype(np.intp) - 1
+    for ti, tj, z0 in _trusted_windows(trusted, d_hat):
         costs = engine.window(ti, tj, z0, 3)
         # The first legal maximum: strictly greater, in ascending z, so a tie
         # keeps the smaller z.  A candidate outside [0, d_max] never wins:
@@ -271,6 +281,11 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
         trusted=n, trusted_evals=engine.count - before, trusted_window_max=window_max,
         full_search_pixels=h * w - n, fallback_nan_prior=h * w - n_finite,
         fallback_low_prior=n_finite - n_confident, fallback_out_of_range=n_confident - n)
+
+
+def _band_rows(height: int, width: int, nz: int) -> int:
+    """Rows per band of the band pass on a level of this size and nz disparities."""
+    return min(height, max(_BAND_MIN_ROWS, _BAND_ENTRIES // (width * nz)))
 
 
 def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
@@ -293,7 +308,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     Returns refine's counts, keyed by their LevelTrace fields, and seconds.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
-    band = min(h, max(_BAND_MIN_ROWS, _BAND_ENTRIES // (w * nz)))
+    band = _band_rows(h, w, nz)
     slots = min(3 * band, h)
     reached = np.zeros((h, w), dtype=bool)  # the pixels whose vectors refine has read
     room = ~trusted  # and the trusted pixels within 3x3 of one that may be low

@@ -8,10 +8,11 @@ around a horizontally shifted right pixel is
 over an odd (2n+1)x(2n+1) block of m pixels, where sigma is the root mean
 squared deviation of the block.  The value lives in [-1, 1] and is clamped
 there after roundoff.  Blocks always have full size thanks to replicate
-padding; three situations yield the floor cost of -1 instead of a
-correlation: a degenerate left block (sigma below ``SIGMA_EPS``), a
-degenerate right block, or a right-block center that falls outside the
-image for the requested disparity.
+padding.  An entry costs the floor of -1 instead of a correlation when
+its product of deviations is zero: a degenerate block on either side, whose
+deviation below ``SIGMA_EPS`` is set to exactly 0 where the statistics are
+made, or a right-block center that falls outside the image for the
+requested disparity, where the padding's deviation is 0.
 
 :class:`CostEngine` evaluates these costs for one level of one run, in one
 thread.  It adds every (pixel, disparity) entry it computes to the integer
@@ -64,7 +65,8 @@ SIGN_MIDDLEBURY = "middlebury"
 # Literal (i, j + z) form, selectable for pairs rectified the other way.
 SIGN_PAPER_PLUS = "paper"
 
-# Blocks whose deviation falls below this are degenerate and cost -1.
+# Blocks whose deviation falls below this are degenerate: their deviation
+# is stored as 0, and every entry with a zero deviation costs -1.
 SIGMA_EPS = 1e-6
 
 # Cost entries per pass of the window kernel (pixels times window
@@ -113,15 +115,17 @@ class CostEngine:
     replicate borders.  The right image and its statistics are zero-padded
     once by d_max+2 columns on each side, and both evaluation paths (planes
     and the row-shared window kernel) read column slices of these padded
-    arrays: the padded columns are degenerate, so a right block outside the
-    image costs -1 on either path without a separate check; a right block
-    is degenerate wherever its padded deviation is below ``SIGMA_EPS``.
+    arrays.  Degeneracy is decided once, in ``_stats``: a deviation below
+    ``SIGMA_EPS`` is stored as 0, so ``sigma_l`` reads 0 at a degenerate
+    left block.  The padded columns' deviation is 0 too, so a degenerate
+    block on either side and a right block outside the image all make a
+    zero deviation product, which the normalization turns into -1.
     Planes read a run of disparities as one strided view of column windows
     and carry block-row sums between adjacent row ranges, so no padded
     row's products are computed twice along a level.  The window kernel
     reads the same arrays flattened, by flat index.  The
-    paths share statistics, degeneracy decisions, the order of the cross
-    sums and the normalization, so they return the same bits for the same
+    paths share statistics, the order of the cross sums and the
+    normalization, so they return the same bits for the same
     entry.
     """
 
@@ -149,11 +153,10 @@ class CostEngine:
 
         self._lp = np.pad(left, self.half, mode="edge")
         self.mean_l, self.sigma_l = self._stats(left)
-        self._ok_l = self.sigma_l >= SIGMA_EPS
 
         # The right image and its statistics carry d_max+_REACH zero columns
         # on both sides, so a window at any legal disparity reads in bounds;
-        # the added columns are degenerate, which applies the out-of-range
+        # the added columns' deviation is 0, which applies the out-of-range
         # rule.
         pad = self._pad = self.d_max + _REACH
         side = ((0, 0), (pad, pad))
@@ -169,10 +172,11 @@ class CostEngine:
                                            (self._sigma_rz, self.width)))
 
     def _stats(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Block means and deviations, a degenerate block's deviation 0."""
         mean = uniform_filter(img, size=self.block, mode="nearest")
         mean_sq = uniform_filter(img * img, size=self.block, mode="nearest")
-        var = np.maximum(mean_sq - mean * mean, 0.0)
-        return mean, np.sqrt(var)
+        sigma = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
+        return mean, np.where(sigma >= SIGMA_EPS, sigma, 0.0)
 
     def _right_start(self, z0, nz: int = 1):
         """Padded right column of column 0's window at z0..z0+nz-1.
@@ -255,8 +259,7 @@ class CostEngine:
                     cross += rsum[:, p:p + m]
                 del rsum
                 band = np.s_[i0:i0 + m]
-                self._normalize(cross, self._ok_l[band] & (sigma_r[:, band] >= SIGMA_EPS),
-                                self.mean_l[band], mean_r[:, band],
+                self._normalize(cross, self.mean_l[band], mean_r[:, band],
                                 self.sigma_l[band], sigma_r[:, band])
         self.count += g * n * w
         return sums
@@ -401,26 +404,25 @@ class CostEngine:
 
         # Per-pixel statistics broadcast along the window axis.
         pixel = rows * self.width + cols
-        ok_l, mean_l, sigma_l = (a.ravel().take(pixel)
-                                 for a in (self._ok_l, self.mean_l, self.sigma_l))
+        mean_l, sigma_l = (a.ravel().take(pixel) for a in (self.mean_l, self.sigma_l))
         if not short:
-            ok_l, mean_l, sigma_l = (a[:, np.newaxis] for a in (ok_l, mean_l, sigma_l))
+            mean_l, sigma_l = mean_l[:, np.newaxis], sigma_l[:, np.newaxis]
         at = rows * self._mean_rz.shape[1] + s
         mean_r, sigma_r = _gather(mean, at, nz, short), _gather(sigma, at, nz, short)
-        self._normalize(cross, ok_l & (sigma_r >= SIGMA_EPS), mean_l, mean_r, sigma_l, sigma_r)
+        self._normalize(cross, mean_l, mean_r, sigma_l, sigma_r)
         return cross
 
-    def _normalize(self, cross, ok, mean_l, mean_r, sigma_l, sigma_r) -> None:
-        """ZNCC from block cross sums, in place: -1 where ``ok`` is False."""
+    def _normalize(self, cross, mean_l, mean_r, sigma_l, sigma_r) -> None:
+        """ZNCC from block cross sums, in place: -1 where a deviation is 0."""
         cross /= self.area
         scale = mean_l * mean_r
         cross -= scale
         np.multiply(sigma_l, sigma_r, out=scale)
-        bad = ~ok
-        scale[bad] = 1.0
+        bad = scale == 0.0
+        np.copyto(scale, 1.0, where=bad)
         cross /= scale
         np.clip(cross, -1.0, 1.0, out=cross)
-        cross[bad] = -1.0
+        np.copyto(cross, -1.0, where=bad)
 
     def dsi_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Full cost vectors for a sparse pixel set, shape (S, d_max+1)."""

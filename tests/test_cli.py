@@ -106,7 +106,7 @@ def test_compute_levels_zero_equals_baseline_plus_repairs(pair, tmp_path):
     np.testing.assert_array_equal(got, expected)
 
 
-def test_compute_validation_exit_codes(pair, tmp_path):
+def test_compute_validation_exit_codes(pair, tmp_path, capsys):
     left, right = pair
     out = str(tmp_path / "x")
     assert main(["compute", str(left), str(right), "--dmax", "8",
@@ -136,6 +136,16 @@ def test_compute_validation_exit_codes(pair, tmp_path):
         calib.write_text(text)
         assert main(["compute", str(left), str(right), "--calib", str(calib),
                      "--out", out]) == EXIT_DECODE
+    # A width or height that disagrees with the 64x48 images is a configuration error.
+    for command in ("compute", "baseline"):
+        for text, given in (("ndisp=8\nwidth=65\n", "width 65"),
+                            ("ndisp=8\nwidth=64\nheight=47\n", "height 47")):
+            calib.write_text(text)
+            capsys.readouterr()
+            assert main([command, str(left), str(right), "--calib", str(calib),
+                         "--out", out]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert given in err and "64x48" in err
 
 
 def test_pair_of_different_sizes_exits_config(pair, tmp_path, capsys):
@@ -346,6 +356,15 @@ def test_bench_two_scenes(tmp_path, capsys):
     assert rc == 0
     for name in ("bench.txt", "bench.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_bench_rejects_calib_of_another_size(tmp_path, capsys):
+    data = tmp_path / "data"
+    scene = _make_scene(data, "alpha", 3, 100)
+    (scene / "calib.txt").write_text("ndisp=8\nwidth=48\nheight=33\n")
+    assert main(["bench", str(data), "--levels", "1", "--block", "5",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "48x32" in capsys.readouterr().err
 
 
 def test_bench_rejects_empty_dataset(tmp_path):

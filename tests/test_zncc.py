@@ -15,7 +15,7 @@ from pyrstereo import (
     shifted_pair,
 )
 from pyrstereo.cli import EXIT_CONFIG, main
-from pyrstereo.zncc import _GATHER_CHUNK, _REACH
+from pyrstereo.zncc import _GATHER_CHUNK, _LONG_WINDOW, _REACH, SIGMA_EPS
 
 
 def _random_images(rng, h=9, w=9):
@@ -59,15 +59,54 @@ def test_affine_invariance():
         assert abs(down + 1.0) <= 1e-6
 
 
-def test_degenerate_patch_rule():
+@pytest.mark.parametrize("sign", ["middlebury", "paper"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("deviation", [0.0, 3e-7, 3e-6])
+def test_degenerate_patch_rule(deviation, side, sign):
+    """Below SIGMA_EPS a block costs exactly -1 on every path, as does a right block
+    outside the image; just above it the cost is the oracle's."""
     rng = np.random.default_rng(3)
-    flat = np.full((7, 7), 0.5)
-    textured = rng.random((7, 7))
-    assert CostEngine(flat, textured, block=5, d_max=0).plane(0)[3, 3] == -1.0
-    assert CostEngine(textured, flat, block=5, d_max=0).plane(0)[3, 3] == -1.0
-    # Near-flat below the epsilon scale is degenerate too.
-    tiny = 0.5 + 1e-9 * rng.random((7, 7))
-    assert CostEngine(tiny, textured, block=5, d_max=0).plane(0)[3, 3] == -1.0
+    h, w, d_max, block = 9, 40, 11, 5
+    half = block // 2
+    assert d_max + 1 >= _LONG_WINDOW  # so dsi_rows runs the long layout
+    # Both images lie around 0.5, the shared offset, and the tested side is
+    # nearly flat (a 1e-3 texture), so the box filters' running sums carry
+    # little roundoff into a tiny deviation.
+    textured = rng.random((h, w))
+    textured += 0.5 - textured.mean()
+    tested = 0.5 + 1e-3 * (rng.random((h, w)) - 0.5)
+    # A +-deviation checkerboard in columns 14..25, every row: each block
+    # inside it has a deviation within 0.1% of ``deviation``.
+    patch = np.arange(14, 26)
+    tested[:, patch] = 0.5 + deviation * (-1.0) ** np.add.outer(np.arange(h), patch)
+    left, right = (tested, textured) if side == "left" else (textured, tested)
+    inside = np.zeros(w, dtype=bool)  # block centres whose block lies in the patch
+    inside[patch[half]:patch[-half - 1] + 1] = True
+    engine = CostEngine(left, right, block=block, d_max=d_max, sign=sign)
+
+    rows = np.repeat([0, 4, 8], w)
+    cols = np.tile(np.arange(w), 3)
+    z = np.arange(d_max + 1)
+    right_col = cols[:, None] - z if sign == "middlebury" else cols[:, None] + z
+    outside = (right_col < 0) | (right_col >= w)
+    centre = np.broadcast_to(cols[:, None], right_col.shape) if side == "left" else right_col
+    floor = outside | (inside[np.clip(centre, 0, w - 1)] & (deviation < SIGMA_EPS))
+    assert floor[~outside].any() == (deviation < SIGMA_EPS)
+
+    plane = np.stack([engine.plane(d)[rows, cols] for d in z], axis=1)
+    vectors = engine.dsi_rows(rows, cols)
+    z0 = rng.integers(0, d_max - 1, rows.shape[0])
+    windows = engine.window(rows, cols, z0, 3)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        for d in z:
+            got = [plane[k, d], vectors[k, d]]
+            if 0 <= d - z0[k] < 3:
+                got.append(windows[k, d - z0[k]])
+            if floor[k, d]:
+                assert got == [-1.0] * len(got)
+            else:
+                expected = naive_cost(left, right, i, j, d, half, sign=sign)
+                assert max(abs(g - expected) for g in got) <= 1e-9
 
 
 def test_specific_patches_match_fsum_oracle():
