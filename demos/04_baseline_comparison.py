@@ -8,7 +8,6 @@ import time
 import numpy as np
 
 from pyrstereo import (
-    GroundTruthDisparity,
     MatchConfig,
     baseline_bm,
     evaluate,
@@ -24,8 +23,7 @@ left, right = shifted_pair(height, width, shift, rng, cutoff=0.02)
 # Reference disparities: the planted shift, unknown where the true match
 # leaves the frame.
 mask = interior_mask((height, width), shift, 11, extra=2)
-gt_values = np.where(mask, float(shift), np.nan)
-gt = GroundTruthDisparity(values=gt_values, invalid=~mask)
+gt = np.where(mask, float(shift), np.nan)
 
 # ---------------------------------------------------------------------------
 # The hierarchy.

@@ -14,7 +14,6 @@ from .evaluation import BAD_THRESHOLDS, EvalReport, evaluate
 from .formats import (
     CalibInfo,
     DecodeError,
-    GroundTruthDisparity,
     MalformedHeaderError,
     MissingKeyError,
     TruncatedPayloadError,
@@ -56,7 +55,6 @@ __all__ = [
     "CostEngine",
     "DecodeError",
     "EvalReport",
-    "GroundTruthDisparity",
     "LevelTrace",
     "MalformedHeaderError",
     "MatchConfig",

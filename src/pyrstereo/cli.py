@@ -1,8 +1,9 @@
 """Command-line frontend: compute, baseline, eval and bench subcommands.
 
 Every run writes a manifest (inputs, resolved parameters, timings, output
-paths) next to its results, in both flat key=value text and JSON, so the
-exact computation can be reproduced from the manifest alone.
+paths, library versions and CPU count) next to its results, in both flat
+key=value text and JSON, so the exact computation can be reproduced from
+the manifest alone.
 
 Exit codes: 0 success, 2 bad configuration or flags, 3 undecodable input
 file, 4 I/O failure.
@@ -14,11 +15,13 @@ import argparse
 import functools
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .baseline import baseline_bm
@@ -123,10 +126,11 @@ def _check_calib_size(calib: CalibInfo, image: np.ndarray, calib_path: str) -> N
             f"but the images are {width}x{height} (width x height)")
 
 
-def _load_pair(args, calib: CalibInfo | None) -> tuple[np.ndarray, np.ndarray]:
-    left, right = read_pnm(args.left), read_pnm(args.right)
+def _load_pair(left_path: str, right_path: str, calib: CalibInfo | None,
+               calib_path: str | None) -> tuple[np.ndarray, np.ndarray]:
+    left, right = read_pnm(left_path), read_pnm(right_path)
     if calib is not None:
-        _check_calib_size(calib, left, args.calib)
+        _check_calib_size(calib, left, calib_path)
     return left, right
 
 
@@ -143,6 +147,19 @@ def _write_maps(out_dir: str, disparity: np.ndarray, cost: np.ndarray,
     return paths
 
 
+def _environment() -> dict:
+    """The interpreter, library and BLAS versions and the CPU count a run used."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas["name"],
+        "blas_version": blas["version"],
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(command: str, args, config: dict, outputs: dict, timings: dict) -> None:
     manifest = {
         "command": command,
@@ -155,6 +172,7 @@ def _write_manifest(command: str, args, config: dict, outputs: dict, timings: di
         "config": config,
         "outputs": outputs,
         "timings": timings,
+        "environment": _environment(),
     }
     _write_report(manifest, os.path.join(args.out, "manifest"))
 
@@ -166,7 +184,7 @@ def cmd_compute(args) -> int:
                          alpha=args.alpha, beta=args.beta, sign=args.sign)
 
     t0 = time.perf_counter()
-    left, right = _load_pair(args, calib)
+    left, right = _load_pair(args.left, args.right, calib, args.calib)
     read_seconds = time.perf_counter() - t0
 
     disparity, cost, trace = run_pipeline(left, right, config)
@@ -201,7 +219,7 @@ def cmd_compute(args) -> int:
 def cmd_baseline(args) -> int:
     t_total = time.perf_counter()
     d_max, calib = _resolve_dmax(args)
-    left, right = _load_pair(args, calib)
+    left, right = _load_pair(args.left, args.right, calib, args.calib)
 
     t0 = time.perf_counter()
     disparity, cost, evals = baseline_bm(left, right, d_max, args.block, sign=args.sign)
@@ -231,9 +249,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    output = read_pfm(args.disparity)
-    gt = read_pfm(args.gt)
-    report = evaluate(output.values, gt, scale=args.scale)
+    report = evaluate(read_pfm(args.disparity), read_pfm(args.gt), scale=args.scale)
 
     trace = None
     if args.trace is not None:
@@ -274,22 +290,16 @@ def _bench_scene(scene: str, paths: tuple[str, str, str, str], args) -> dict:
     t0 = time.perf_counter()
     left_path, right_path, calib_path, gt_path = paths
     calib = read_calib(calib_path)
-    left = read_pnm(left_path)
-    right = read_pnm(right_path)
-    _check_calib_size(calib, left, calib_path)
+    left, right = _load_pair(left_path, right_path, calib, calib_path)
     gt = read_pfm(gt_path)
     config = MatchConfig(d_max=calib.ndisp, levels=args.levels, block=args.block,
                          alpha=args.alpha, beta=args.beta, sign=args.sign)
 
-    disparity, cost, trace = run_pipeline(left, right, config)
+    disparity, _, trace = run_pipeline(left, right, config)
     ours = evaluate(disparity, gt, scale=args.scale)
-    ours.total_evals = trace.total_evals
-    ours.trust_fractions = trace.trust_fractions
 
-    base_d, base_c, base_evals = baseline_bm(left, right, calib.ndisp, args.block,
-                                             sign=args.sign)
+    base_d, _, base_evals = baseline_bm(left, right, calib.ndisp, args.block, sign=args.sign)
     base = evaluate(base_d, gt, scale=args.scale)
-    base.total_evals = base_evals
 
     print(f"bench: scene {scene} done in {time.perf_counter() - t0:.2f}s",
           file=sys.stderr)

@@ -1,11 +1,12 @@
 """Disparity-map error metrics against reference data.
 
 Reports the fraction of evaluated pixels whose absolute disparity error
-exceeds 1, 2 and 4 pixels, plus the mean absolute error.  Pixels invalid
-in the reference (unknown/occluded) or in the output (NaN) are excluded
-from the metrics but counted.  A scale factor converts output disparity
-units before comparison, which covers runs at reduced resolution scored
-against full-resolution-unit references.
+exceeds 1, 2 and 4 pixels, plus the mean absolute error.  Both maps are
+plain float64 arrays; a pixel that is not finite in either one (NaN from
+:func:`~pyrstereo.formats.read_pfm`, unknown or occluded in the reference)
+is excluded from the metrics but counted.  A scale factor converts output
+disparity units before comparison, which covers runs at reduced
+resolution scored against full-resolution-unit references.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-
-from .formats import GroundTruthDisparity
 
 __all__ = ["BAD_THRESHOLDS", "EvalReport", "evaluate"]
 
@@ -52,27 +51,29 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(disparity: np.ndarray, gt: GroundTruthDisparity,
+def evaluate(disparity: np.ndarray, reference: np.ndarray,
              scale: float = 1.0) -> EvalReport:
     """Score a disparity map against reference disparities.
 
-    ``disparity * scale`` is compared to the reference on pixels valid in
+    ``disparity * scale`` is compared to the reference on pixels finite in
     both.  Shapes must already agree; ``scale`` must be positive and finite.
     """
     disparity = np.asarray(disparity, dtype=np.float64)
-    if disparity.shape != gt.values.shape:
+    reference = np.asarray(reference, dtype=np.float64)
+    if disparity.shape != reference.shape:
         raise ValueError(
-            f"disparity {disparity.shape} and reference {gt.values.shape} differ"
+            f"disparity {disparity.shape} and reference {reference.shape} differ"
         )
     if not 0 < scale < np.inf:  # NaN fails every comparison
         raise ValueError(f"scale must be positive and finite, got {scale}")
 
     output_invalid = ~np.isfinite(disparity)
-    mask = ~output_invalid & ~gt.invalid
+    gt_invalid = ~np.isfinite(reference)
+    mask = ~output_invalid & ~gt_invalid
     evaluated = int(mask.sum())
 
     if evaluated:
-        err = np.abs(disparity[mask] * scale - gt.values[mask])
+        err = np.abs(disparity[mask] * scale - reference[mask])
         bad = [100.0 * float(np.mean(err > tau)) for tau in BAD_THRESHOLDS]
         avg = float(err.mean())
     else:
@@ -82,7 +83,7 @@ def evaluate(disparity: np.ndarray, gt: GroundTruthDisparity,
     return EvalReport(
         bad_1=bad[0], bad_2=bad[1], bad_4=bad[2], avg_abs_err=avg,
         evaluated=evaluated,
-        gt_invalid=int(gt.invalid.sum()),
+        gt_invalid=int(gt_invalid.sum()),
         output_invalid=int(output_invalid.sum()),
     )
 

@@ -7,8 +7,10 @@ Readers and writers for:
 * Middlebury-style ``calib.txt`` key=value files.
 
 Images are plain ``(H, W)`` float64 arrays with intensities in [0, 1].
-Disparity maps use NaN for pixels with no usable value; on PFM disk the
-same pixels are stored as +inf, and PGM previews render them as 0.
+Disparity maps are plain ``(H, W)`` float64 arrays too, with NaN for
+pixels with no usable value: :func:`write_pfm` stores those as +inf,
+:func:`read_pfm` reads every non-finite sample back as NaN, and PGM
+previews render them as 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "TruncatedPayloadError",
     "UnsupportedMaxvalError",
     "MissingKeyError",
-    "GroundTruthDisparity",
     "CalibInfo",
     "read_pnm",
     "read_pfm",
@@ -61,19 +62,6 @@ class UnsupportedMaxvalError(DecodeError):
 
 class MissingKeyError(DecodeError):
     """A required key is absent from a calibration file."""
-
-
-@dataclass
-class GroundTruthDisparity:
-    """Reference disparities with a per-pixel validity mask.
-
-    ``values`` is float64 with NaN at invalid entries; ``invalid`` is the
-    boolean mask of those entries (unknown/occluded pixels, stored as +inf
-    in Middlebury PFM files).
-    """
-
-    values: np.ndarray
-    invalid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -177,13 +165,13 @@ def read_pnm(path) -> np.ndarray:
     return gray / float(maxval)
 
 
-def read_pfm(path) -> GroundTruthDisparity:
-    """Read a single-channel PFM disparity map.
+def read_pfm(path) -> np.ndarray:
+    """Read a single-channel PFM disparity map as an ``(H, W)`` float64 array.
 
     The scale line's sign selects endianness (negative = little endian) and
-    rows are un-flipped from the on-disk bottom-up order.  Non-finite
-    samples (Middlebury's +inf "unknown" convention) populate the invalid
-    mask and appear as NaN in ``values``.
+    rows are un-flipped from the on-disk bottom-up order.  Every non-finite
+    sample (Middlebury's +inf "unknown" convention, -inf or NaN) reads as
+    NaN.
     """
     buf, _, width, height, pos = _read_header(path, (b"Pf",))
     tok, pos = _next_token(buf, pos)
@@ -195,10 +183,8 @@ def read_pfm(path) -> GroundTruthDisparity:
         raise MalformedHeaderError(f"scale {tok!r} is zero or not finite")
 
     flat = _binary_payload(buf, pos, width * height, "<f4" if scale < 0 else ">f4")
-    values = np.flipud(flat.reshape(height, width)).copy()
-    invalid = ~np.isfinite(values)
-    values[invalid] = np.nan
-    return GroundTruthDisparity(values=values, invalid=invalid)
+    values = np.flipud(flat.reshape(height, width))
+    return np.where(np.isfinite(values), values, np.nan)
 
 
 def write_pfm(values: np.ndarray, path, scale: float = -1.0) -> None:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import loop_full_search, naive_dsi_vector, naive_metrics
 from pyrstereo import (
-    GroundTruthDisparity,
     MatchConfig,
     baseline_bm,
     evaluate,
@@ -17,13 +16,14 @@ from pyrstereo import (
 )
 
 
-def _gt(values, invalid=None):
-    values = np.asarray(values, dtype=np.float64)
-    if invalid is None:
-        invalid = np.zeros(values.shape, dtype=bool)
-    values = values.copy()
-    values[invalid] = np.nan
-    return GroundTruthDisparity(values=values, invalid=invalid)
+def _gt(values, invalid=None, rng=None):
+    """Reference disparities unknown at ``invalid``: NaN there, or with ``rng``
+    NaN, +inf or -inf at random."""
+    values = np.array(values, dtype=np.float64)
+    if invalid is not None:
+        values[invalid] = np.nan if rng is None else rng.choice(
+            [np.nan, np.inf, -np.inf], size=np.count_nonzero(invalid))
+    return values
 
 
 def test_baseline_identical_pair():
@@ -130,7 +130,7 @@ def test_evaluate_matches_counting_oracle():
         invalid = rng.random((9, 11)) < 0.15
         disparity = gt_values + rng.normal(0, 2.5, size=(9, 11))
         disparity[rng.random((9, 11)) < 0.1] = np.nan
-        gt = _gt(gt_values, invalid)
+        gt = _gt(gt_values, invalid, rng)
         report = evaluate(disparity, gt, scale=1.0)
         rates, avg, evaluated, n_gt_inv, n_out_inv = naive_metrics(
             disparity, gt_values, invalid

@@ -54,7 +54,7 @@ def test_compute_writes_outputs_and_manifest(pair, tmp_path):
     assert trace["total_evals"] > 0
 
     disparity = read_pfm(out / "disparity.pfm")
-    assert disparity.values.shape == (48, 64)
+    assert disparity.shape == (48, 64)
 
 
 def test_compute_defaults_from_calib(pair, tmp_path, capsys):
@@ -91,7 +91,7 @@ def test_compute_levels_zero_equals_baseline_plus_repairs(pair, tmp_path):
     rc = main(["compute", str(left_path), str(right_path), "--dmax", "6",
                "--levels", "0", "--block", "5", "--out", str(out)])
     assert rc == 0
-    got = read_pfm(out / "disparity.pfm").values
+    got = read_pfm(out / "disparity.pfm")
 
     from pyrstereo import read_pnm
 
@@ -179,7 +179,7 @@ def test_baseline_identical_pair_zero_map(tmp_path):
     rc = main(["baseline", str(path), str(path), "--dmax", "4",
                "--block", "3", "--out", str(out)])
     assert rc == 0
-    disparity = read_pfm(out / "disparity.pfm").values
+    disparity = read_pfm(out / "disparity.pfm")
     assert np.all(disparity[1:-1, 1:-1] == 0)
 
 
@@ -222,6 +222,12 @@ def test_serialised_key_sets(pair, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["config"]) == {"d_max", "levels", "block", "alpha", "beta", "sign"}
     assert manifest["config"]["levels"] == 1
+    environment = {"python", "numpy", "scipy", "blas", "blas_version", "cpu_count"}
+    assert set(manifest["environment"]) == environment
+    base = tmp_path / "base"
+    assert main(["baseline", str(left), str(right), "--dmax", "8", "--block", "5",
+                 "--out", str(base)]) == 0
+    assert set(json.loads((base / "manifest.json").read_text())["environment"]) == environment
 
     metrics = {"bad_1", "bad_2", "bad_4", "avg_abs_err", "evaluated", "gt_invalid",
                "output_invalid"}

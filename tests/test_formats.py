@@ -157,16 +157,17 @@ def test_pfm_single_value(tmp_path):
     path = tmp_path / "v.pfm"
     path.write_bytes(b"Pf\n1 1\n-1.0\n" + np.float32(5.0).tobytes())
     gt = read_pfm(path)
-    assert gt.values[0, 0] == 5.0
-    assert not gt.invalid[0, 0]
+    assert gt.dtype == np.float64 and gt.shape == (1, 1)
+    assert gt[0, 0] == 5.0
 
 
 def test_pfm_infinity_masks_invalid(tmp_path):
+    # Middlebury stores unknown pixels as +inf; any non-finite sample is NaN in memory.
     path = tmp_path / "inf.pfm"
-    path.write_bytes(b"Pf\n1 1\n-1.0\n" + np.float32(np.inf).tobytes())
+    samples = np.array([np.inf, -np.inf, np.nan, 2.0], dtype="<f4")
+    path.write_bytes(b"Pf\n4 1\n-1.0\n" + samples.tobytes())
     gt = read_pfm(path)
-    assert gt.invalid[0, 0]
-    assert np.isnan(gt.values[0, 0])
+    assert np.isnan(gt[0, :3]).all() and gt[0, 3] == 2.0
 
 
 def test_pfm_row_order_bottom_up(tmp_path):
@@ -174,21 +175,21 @@ def test_pfm_row_order_bottom_up(tmp_path):
     path = tmp_path / "rows.pfm"
     payload = np.array([3.0, 4.0, 1.0, 2.0], dtype="<f4").tobytes()
     path.write_bytes(b"Pf\n2 2\n-1.0\n" + payload)
-    gt = read_pfm(path)
-    np.testing.assert_array_equal(gt.values, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(read_pfm(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
 @pytest.mark.parametrize("scale", [-1.0, 1.0])
 def test_pfm_round_trip_both_endian(tmp_path, scale):
     rng = np.random.default_rng(int(scale + 2))
     values = rng.random((4, 4)).astype(np.float32).astype(np.float64)
-    values[1, 2] = np.nan  # invalid marker
+    values[1, :3] = np.nan, np.inf, -np.inf  # each reads back as NaN
     path = tmp_path / "rt.pfm"
     write_pfm(values, path, scale=scale)
     back = read_pfm(path)
-    assert back.invalid[1, 2]
-    mask = ~back.invalid
-    np.testing.assert_array_equal(back.values[mask], values[mask])
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(np.isnan(back), ~np.isfinite(values))
+    mask = np.isfinite(values)
+    np.testing.assert_array_equal(back[mask], values[mask])
 
 
 @pytest.mark.parametrize(

@@ -374,8 +374,8 @@ def test_untrusted_pair_peak_stays_near_block_matching():
     bm_peak = _traced_peak(lambda: baseline_bm(left, right, 64, 11))
     # A whole level's vectors, or every low pixel's median window at once,
     # took eight times the baseline; the band pass's compact store takes
-    # about 2.35 times.
-    assert peak < 2.5 * bm_peak
+    # 2.36 times (36.58 against 15.49 MiB).
+    assert peak < 2.45 * bm_peak
 
 
 def test_layered_pair_peak_within_twice_block_matching():
@@ -441,7 +441,7 @@ def test_package_exports_matcher_api():
     assert pyrstereo.LevelTrace is matcher.LevelTrace
     assert set(pyrstereo.__all__) == {
         "BAD_THRESHOLDS", "CalibInfo", "ConfigError", "CostEngine",
-        "DecodeError", "EvalReport", "GroundTruthDisparity", "LevelTrace",
+        "DecodeError", "EvalReport", "LevelTrace",
         "MalformedHeaderError", "MatchConfig", "MissingKeyError", "PipelineTrace",
         "PyramidLevel", "TruncatedPayloadError",
         "UnsupportedMaxvalError", "auto_levels", "baseline_bm", "build_pyramid",
