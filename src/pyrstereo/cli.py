@@ -1,9 +1,9 @@
 """Command-line frontend: compute, baseline, eval and bench subcommands.
 
-Every run writes a manifest (inputs, resolved parameters, timings, output
-paths, library versions and CPU count) next to its results, in both flat
-key=value text and JSON, so the exact computation can be reproduced from
-the manifest alone.
+Every run except ``eval`` writes a manifest (inputs, resolved parameters,
+timings, output paths, library versions and CPU count) next to its
+results, in both flat key=value text and JSON, so the exact computation
+can be reproduced from the manifest alone.
 
 Exit codes: 0 success, 2 bad configuration or flags, 3 undecodable input
 file, 4 I/O failure.
@@ -21,7 +21,6 @@ import time
 from dataclasses import asdict
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .baseline import baseline_bm
@@ -148,33 +147,38 @@ def _write_maps(out_dir: str, disparity: np.ndarray, cost: np.ndarray,
 
 
 def _environment() -> dict:
-    """The interpreter, library and BLAS versions and the CPU count a run used."""
+    """The interpreter, numpy and BLAS versions and the CPU count a run used."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": blas["name"],
         "blas_version": blas["version"],
         "cpu_count": os.cpu_count(),
     }
 
 
-def _write_manifest(command: str, args, config: dict, outputs: dict, timings: dict) -> None:
+def _pair_inputs(args) -> dict:
+    """The absolute input paths of a run on one pair."""
+    return {
+        "left": os.path.abspath(args.left),
+        "right": os.path.abspath(args.right),
+        "calib": os.path.abspath(args.calib) if args.calib else None,
+    }
+
+
+def _write_manifest(command: str, out_dir: str, inputs: dict, config: dict, outputs: dict,
+                    timings: dict) -> None:
     manifest = {
         "command": command,
         "version": __version__,
-        "inputs": {
-            "left": os.path.abspath(args.left),
-            "right": os.path.abspath(args.right),
-            "calib": os.path.abspath(args.calib) if args.calib else None,
-        },
+        "inputs": inputs,
         "config": config,
         "outputs": outputs,
         "timings": timings,
         "environment": _environment(),
     }
-    _write_report(manifest, os.path.join(args.out, "manifest"))
+    _write_report(manifest, os.path.join(out_dir, "manifest"))
 
 
 def cmd_compute(args) -> int:
@@ -198,7 +202,7 @@ def cmd_compute(args) -> int:
     _write_report(trace.to_dict(), trace_stem)
 
     _write_manifest(
-        "compute", args,
+        "compute", args.out, _pair_inputs(args),
         config={**asdict(config), "levels": len(trace.levels) - 1},
         outputs={**paths, "trace_json": trace_stem + ".json"},
         timings={
@@ -239,7 +243,7 @@ def cmd_baseline(args) -> int:
     _write_report(trace, os.path.join(args.out, "trace"))
 
     _write_manifest(
-        "baseline", args,
+        "baseline", args.out, _pair_inputs(args),
         config={"d_max": d_max, "block": args.block, "sign": args.sign},
         outputs={**paths, "trace_json": os.path.join(args.out, "trace.json")},
         timings={"total_seconds": time.perf_counter() - t_total},
@@ -349,7 +353,9 @@ def cmd_bench(args) -> int:
 
     table = _bench_table(rows, average)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "bench.txt"), "w", encoding="ascii") as fh:
+    paths = {"bench_txt": os.path.join(args.out, "bench.txt"),
+             "bench_json": os.path.join(args.out, "bench.json")}
+    with open(paths["bench_txt"], "w", encoding="ascii") as fh:
         fh.write(table)
     report = {
         "scenes": rows,
@@ -359,12 +365,20 @@ def cmd_bench(args) -> int:
             "runtime_minutes": REFERENCE_RUNTIME_MINUTES,
         },
     }
-    with open(os.path.join(args.out, "bench.json"), "w", encoding="ascii") as fh:
+    with open(paths["bench_json"], "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    total = time.perf_counter() - t_total
+    _write_manifest(
+        "bench", args.out, {"dataset": os.path.abspath(args.dataset), "scenes": sorted(runnable)},
+        config={key: getattr(args, key)
+                for key in ("levels", "block", "alpha", "beta", "sign", "scale", "threads")},
+        outputs=paths,
+        timings={"total_seconds": total},
+    )
     print(table, end="")
-    print(f"total wall time: {time.perf_counter() - t_total:.2f}s", file=sys.stderr)
+    print(f"total wall time: {total:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 

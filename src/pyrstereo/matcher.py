@@ -23,13 +23,13 @@ inputs; inside ``run_pipeline`` the band pass refines a level's maps in place.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import binary_dilation, zoom
 
 from .pyramid import build_pyramid
 from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine
@@ -223,9 +223,100 @@ def upsample_prior(d_coarse: np.ndarray, c_coarse: np.ndarray,
         )
 
     d_hat = 2.0 * np.repeat(np.repeat(d_coarse, 2, axis=0), 2, axis=1)[:h, :w]
-    # Pixel centres map onto pixel centres: target (i + 0.5) * ch / h - 0.5.
-    c_hat = zoom(c_coarse, (h / ch, w / cw), order=3, mode="nearest", grid_mode=True)
-    return d_hat, np.clip(c_hat, -1.0, 1.0)
+    c_hat = _cubic_upsample(np.asarray(c_coarse, dtype=np.float64), (h, w))
+    return d_hat, np.clip(c_hat, -1.0, 1.0, out=c_hat)
+
+
+# The pole of the cubic B-spline prefilter, sqrt(3) - 2, as a literal:
+# computing it is 1 ulp off.
+_SPLINE_POLE = -0.267949192431122706472553658494127633
+# Replicated samples around a map before its spline prefilter.
+_SPLINE_PAD = 12
+# Target columns interpolated at a time; bounds the scratch to a strip.
+_UPSAMPLE_COLUMNS = 64
+
+
+def _cubic_upsample(coarse: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Cubic B-spline interpolation of a map at the pixel centres of a larger grid.
+
+    Target pixel (i, j) samples the map at ((i + 0.5) * ch / h - 0.5,
+    (j + 0.5) * cw / w - 0.5).  The map is padded by ``_SPLINE_PAD``
+    replicated samples and prefiltered into spline coefficients along axis
+    0, then axis 1.  Each target sums its 4x4 coefficients c as
+    (c * wy[p]) * wx[q], from 0.0, in (p, q) order, a strip of target
+    columns at a time.  A map as large as the grid comes back as it is.
+    This is the arithmetic of the bicubic zoom the maps were first made
+    with, so the bits stay (``tests/oracles.py`` pins it).
+    """
+    (ch, cw), (h, w) = coarse.shape, shape
+    if (ch, cw) == (h, w):
+        return coarse.copy()
+    rows = np.clip(np.arange(-_SPLINE_PAD, ch + _SPLINE_PAD), 0, ch - 1)
+    cols = np.clip(np.arange(-_SPLINE_PAD, cw + _SPLINE_PAD), 0, cw - 1)
+    coeffs = _spline_coefficients(coarse.take(rows, axis=0).take(cols, axis=1))
+    # The lines along axis 1 as rows: (padded column, padded row).
+    coeffs = _spline_coefficients(np.ascontiguousarray(coeffs.T))
+    top, wy = _spline_taps(ch, h)
+    left, wx = _spline_taps(cw, w)
+    out = np.empty((h, w))
+    for j0 in range(0, w, _UPSAMPLE_COLUMNS):
+        strip = np.s_[j0:j0 + _UPSAMPLE_COLUMNS]
+        first = left[strip] - left[j0]
+        used = coeffs[left[j0]:left[strip][-1] + 4]
+        total = np.zeros((first.shape[0], h))  # (target column, target row)
+        term = np.empty_like(total)
+        for p in range(4):
+            weighted = used.take(top + p, axis=1)
+            weighted *= wy[p]
+            for q in range(4):
+                weighted.take(first + q, axis=0, out=term, mode="clip")
+                term *= wx[q][strip, np.newaxis]
+                total += term
+        out[:, strip] = total.T
+    return out
+
+
+def _spline_coefficients(c: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients of the lines along axis 0 of ``c``, in place.
+
+    The gain first, then a causal and an anticausal recursion with the
+    pole z.  The causal start sums z^i (c_i + z^n c_{n-1-i}) over i in
+    order, z^i by repeated multiplication, and adds that sum times
+    z / (1 - z^2n) to c_0, as for a line reflected about its ends.
+    """
+    n, z = c.shape[0], _SPLINE_POLE
+    c *= (1.0 - z) * (1.0 - 1.0 / z)
+    zn = math.pow(z, n)
+    terms = np.empty_like(c)
+    np.multiply(c[n - 1], zn, out=terms[0])
+    terms[0] += c[0]
+    np.multiply(c[n - 2::-1], zn, out=terms[1:])
+    terms[1:] += c[1:]
+    terms[1:] *= np.cumprod(np.full(n - 1, z))[:, np.newaxis]
+    start = terms.cumsum(axis=0, out=terms)[-1]  # a running sum, in order
+    start *= z / (1.0 - zn * zn)
+    c[0] += start
+    step = np.empty_like(c[0])
+    for prev, row in zip(c, c[1:]):
+        np.multiply(prev, z, out=step)
+        row += step
+    c[n - 1] *= z / (z - 1.0)
+    for nxt, row in zip(c[:0:-1], c[-2::-1]):
+        np.subtract(nxt, row, out=row)
+        row *= z
+    return c
+
+
+def _spline_taps(n_in: int, n_out: int) -> tuple[np.ndarray, tuple]:
+    """First padded coefficient and the four cubic weights of each output position."""
+    at = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5 + _SPLINE_PAD
+    floor = np.floor(at)
+    y = at - floor
+    z = 1.0 - y
+    w0 = z * z * z / 6.0
+    w1 = (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0
+    w2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+    return floor.astype(np.intp) - 1, (w0, w1, w2, 1.0 - w0 - w1 - w2)
 
 
 def _trusted_windows(trusted: np.ndarray, d_hat: np.ndarray):
@@ -288,6 +379,17 @@ def _band_rows(height: int, width: int, nz: int) -> int:
     return min(height, max(_BAND_MIN_ROWS, _BAND_ENTRIES // (width * nz)))
 
 
+def _dilate3(mask: np.ndarray) -> np.ndarray:
+    """A boolean mask grown by its 3x3 neighbourhood; outside the mask counts as False."""
+    rows = mask.copy()
+    rows[1:] |= mask[:-1]
+    rows[:-1] |= mask[1:]
+    grown = rows.copy()
+    grown[:, 1:] |= rows[:, :-1]
+    grown[:, :-1] |= rows[:, 1:]
+    return grown
+
+
 def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
                trusted: np.ndarray, alpha: float) -> tuple[dict, float]:
     """Full search of the untrusted pixels and refine, a band of rows at a time, in place.
@@ -313,7 +415,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     reached = np.zeros((h, w), dtype=bool)  # the pixels whose vectors refine has read
     room = ~trusted  # and the trusted pixels within 3x3 of one that may be low
     np.less_equal(cost, alpha, out=room, where=trusted)
-    room = binary_dilation(room, np.ones((3, 3)))
+    room = _dilate3(room)
     counts = np.add.reduceat(np.count_nonzero(room, axis=1), np.arange(0, h, band))
     del room
     # Band k's vectors go to arena k % 3, which band k+3 reuses.
@@ -369,7 +471,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         first, end = max(upper - 1, 0), min(lower + 1, h)
         low = np.zeros((end - first, w), dtype=bool)
         low[upper - first:lower - first] = cost[upper:lower] <= alpha
-        read = binary_dilation(low, np.ones((3, 3)))
+        read = _dilate3(low)
         mi, mj = np.nonzero(read & trusted[first:end] & ~reached[first:end])
         reached[first:end] |= read
         if mi.size:  # none are missing where the whole level was searched in full

@@ -55,7 +55,6 @@ import numbers
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import uniform_filter
 
 __all__ = ["SIGMA_EPS", "SIGN_MIDDLEBURY", "SIGN_PAPER_PLUS", "CostEngine"]
 
@@ -105,6 +104,47 @@ def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndar
     if left.shape != right.shape:
         raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
     return left, right
+
+
+def _box_means(stack: np.ndarray, block: int) -> np.ndarray:
+    """Mean of the square block around each pixel of each image, in place.
+
+    ``stack`` holds images along axis 0, and each becomes its block means
+    under replicate borders: running window sums down the columns, divided
+    by the block size, then the same along the rows.  The running sum
+    carries roundoff from one end of a line to the other.  It is kept on
+    purpose: it is the order of the box filter the statistics were first
+    made with, so every cost keeps its bits (``tests/oracles.py`` pins
+    that filter).
+    """
+    mid = _running_sums(stack, np.empty(stack.shape), block, 1)
+    mid /= block
+    _running_sums(mid, stack, block, 2)
+    stack /= block
+    return stack
+
+
+def _running_sums(x: np.ndarray, out: np.ndarray, block: int, axis: int) -> np.ndarray:
+    """Window sums along ``axis`` of ``x``, its end samples repeated, into ``out``.
+
+    The first window adds its samples in order, from 0.0; each next sum
+    adds to the previous one the difference of the sample entering and the
+    sample leaving the window, that difference taken first.
+    """
+    x, sums = x.swapaxes(0, axis), out.swapaxes(0, axis)
+    n, half = x.shape[0], block // 2
+    sums[0] = 0.0
+    for t in range(-half, half + 1):
+        sums[0] += x[min(max(t, 0), n - 1)]
+    # Sum k takes in sample min(k + half, n - 1) and drops max(k - 1 - half, 0).
+    clipped = max(1, n - half)
+    sums[1:clipped] = x[1 + half:clipped + half]
+    sums[clipped:] = x[n - 1]
+    inside = min(half + 2, n)
+    sums[1:inside] -= x[0]
+    sums[inside:] -= x[inside - 1 - half:n - 1 - half]
+    sums.cumsum(axis=0, out=sums)  # in order along the axis
+    return out
 
 
 class CostEngine:
@@ -172,11 +212,21 @@ class CostEngine:
                                            (self._sigma_rz, self.width)))
 
     def _stats(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Block means and deviations, a degenerate block's deviation 0."""
-        mean = uniform_filter(img, size=self.block, mode="nearest")
-        mean_sq = uniform_filter(img * img, size=self.block, mode="nearest")
-        sigma = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
-        return mean, np.where(sigma >= SIGMA_EPS, sigma, 0.0)
+        """Block means and deviations, a degenerate block's deviation 0.
+
+        The image and its square are box-filtered as one stack, and the
+        deviation sqrt(max(mean_sq - mean^2, 0)) is made in place of the
+        mean squares, so both results share one buffer.
+        """
+        moments = np.empty((2,) + img.shape)
+        moments[0] = img
+        np.multiply(img, img, out=moments[1])
+        mean, sigma = _box_means(moments, self.block)
+        sigma -= mean * mean
+        np.maximum(sigma, 0.0, out=sigma)
+        np.sqrt(sigma, out=sigma)
+        np.copyto(sigma, 0.0, where=~(sigma >= SIGMA_EPS))  # a NaN deviation too
+        return mean, sigma
 
     def _right_start(self, z0, nz: int = 1):
         """Padded right column of column 0's window at z0..z0+nz-1.

@@ -2,9 +2,11 @@
 
 Everything here is written as plain loops with extended-precision sums
 (math.fsum), sharing no code with the package's optimized paths.  Slow on
-purpose; correctness is the only goal.  The one exception is
-``unbanded_selection``, which checks the band pass's full search against a
-single request and reuses the package's trusted selection to do so.
+purpose; correctness is the only goal.  Two exceptions:
+``unbanded_selection`` checks the band pass's full search against a single
+request and reuses the package's trusted selection to do so, and the
+``ndimage_*`` oracles are the ``scipy.ndimage`` calls whose bits the
+package's numpy filters reproduce.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from pyrstereo import matcher
+from pyrstereo.pyramid import BINOMIAL_KERNEL
 
 BINOMIAL_2D = np.outer([1, 4, 6, 4, 1], [1, 4, 6, 4, 1]) / 256.0
 
@@ -216,14 +220,12 @@ def grid_bicubic_upsample(c_coarse, target_shape):
     Target pixel (i, j) reads the coarse map at ((i + 0.5) * ch / h - 0.5,
     (j + 0.5) * cw / w - 0.5), clamped into [-1, 1] afterwards.
     """
-    from scipy.ndimage import map_coordinates
-
     h, w = target_shape
     ch, cw = c_coarse.shape
     yi = (np.arange(h) + 0.5) * (ch / h) - 0.5
     xi = (np.arange(w) + 0.5) * (cw / w) - 0.5
     grid = np.meshgrid(yi, xi, indexing="ij")
-    return np.clip(map_coordinates(c_coarse, grid, order=3, mode="nearest"), -1.0, 1.0)
+    return np.clip(ndimage.map_coordinates(c_coarse, grid, order=3, mode="nearest"), -1.0, 1.0)
 
 
 def naive_metrics(disparity, gt_values, gt_invalid, scale=1.0, taus=(1.0, 2.0, 4.0)):
@@ -271,3 +273,25 @@ def unbanded_selection(engine, d_hat, c_hat, beta):
     disparity[fi, fj] = best
     cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
     return disparity, cost, {**counts, "selection_evals": engine.count - before}
+
+
+def ndimage_box_mean(img, block):
+    """Block means under replicate borders: the box filter of ``CostEngine``'s statistics."""
+    return ndimage.uniform_filter(img, size=block, mode="nearest")
+
+
+def ndimage_binomial(img):
+    """Separable binomial smoothing under replicate borders, axis 0 first."""
+    out = ndimage.correlate1d(img, BINOMIAL_KERNEL, axis=0, mode="nearest")
+    return ndimage.correlate1d(out, BINOMIAL_KERNEL, axis=1, mode="nearest")
+
+
+def ndimage_cubic_upsample(c_coarse, target_shape):
+    """Bicubic zoom onto the target's pixel centres, before any clamping."""
+    (h, w), (ch, cw) = target_shape, c_coarse.shape
+    return ndimage.zoom(c_coarse, (h / ch, w / cw), order=3, mode="nearest", grid_mode=True)
+
+
+def ndimage_dilate3(mask):
+    """A boolean mask grown by its 3x3 neighbourhood, False outside the mask."""
+    return ndimage.binary_dilation(mask, np.ones((3, 3)))

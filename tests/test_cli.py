@@ -222,7 +222,7 @@ def test_serialised_key_sets(pair, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["config"]) == {"d_max", "levels", "block", "alpha", "beta", "sign"}
     assert manifest["config"]["levels"] == 1
-    environment = {"python", "numpy", "scipy", "blas", "blas_version", "cpu_count"}
+    environment = {"python", "numpy", "blas", "blas_version", "cpu_count"}
     assert set(manifest["environment"]) == environment
     base = tmp_path / "base"
     assert main(["baseline", str(left), str(right), "--dmax", "8", "--block", "5",
@@ -362,6 +362,58 @@ def test_bench_two_scenes(tmp_path, capsys):
     assert rc == 0
     for name in ("bench.txt", "bench.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_bench_writes_manifest(tmp_path):
+    data = tmp_path / "data"
+    _make_scene(data, "alpha", 3, 100)
+    out = tmp_path / "b"
+    assert main(["bench", str(data), "--block", "5", "--alpha", "0.8", "--sign", "paper",
+                 "--scale", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"command", "version", "inputs", "config", "outputs", "timings",
+                             "environment"}
+    assert manifest["command"] == "bench"
+    assert manifest["inputs"] == {"dataset": str(data.resolve()), "scenes": ["alpha"]}
+    assert manifest["config"] == {"levels": None, "block": 5, "alpha": 0.8, "beta": 0.9,
+                                  "sign": "paper", "scale": 2.0, "threads": 1}
+    assert manifest["outputs"] == {"bench_txt": str(out / "bench.txt"),
+                                   "bench_json": str(out / "bench.json")}
+    assert set(manifest["timings"]) == {"total_seconds"}
+    assert set(manifest["environment"]) == {"python", "numpy", "blas", "blas_version",
+                                            "cpu_count"}
+    assert "config.levels=None" in (out / "manifest.txt").read_text().splitlines()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # Importing the package and running every command leaves scipy unimported.
+    data = tmp_path / "data"
+    scene = _make_scene(data, "alpha", 3, 100)
+    left, right, gt = (str(scene / name) for name in ("im0.pgm", "im1.pgm", "disp0GT.pfm"))
+    out = tmp_path / "out"
+    runs = [
+        ["compute", left, right, "--dmax", "8", "--block", "3", "--out", str(out / "auto")],
+        ["compute", left, right, "--dmax", "8", "--levels", "0", "--out", str(out / "flat")],
+        ["baseline", left, right, "--dmax", "8", "--out", str(out / "base")],
+        ["eval", str(out / "auto" / "disparity.pfm"), gt,
+         "--trace", str(out / "auto" / "trace.json"), "--out", str(out / "ev")],
+        ["bench", str(data), "--block", "3", "--out", str(out / "bench")],
+    ]
+    code = ("import json, sys\n"
+            "import pyrstereo\n"
+            "from pyrstereo.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # The automatic depth builds a pyramid, so upsampling ran too.
+    assert json.loads((out / "auto" / "manifest.json").read_text())["config"]["levels"] == 1
+    assert (out / "ev" / "report.json").exists()
 
 
 def test_bench_rejects_calib_of_another_size(tmp_path, capsys):
