@@ -12,9 +12,10 @@ whose prior is NaN).  Two repairs gated by ``alpha`` follow:
 * remaining low-cost pixels take the median of the confident disparities
   in their 5x5 window.
 
-The full search and the re-selection walk a level in bands of rows, one
-band apart, so a level holds the cost vectors of three bands at most, and
-of those only the vectors it computed, in a compact store.
+The full search and the re-selection walk a level in bands of rows, the
+re-selection one row behind, so a level holds the cost vectors of two
+bands at most, and of those only the vectors it computed, in a compact
+store.  Bands with nothing trusted share one region of a band and two rows.
 
 All maps are float64; disparities are integer-valued with NaN marking
 pixels that carry no usable value.  Public stages never mutate their
@@ -375,8 +376,12 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
 
 
 def _band_rows(height: int, width: int, nz: int) -> int:
-    """Rows per band of the band pass on a level of this size and nz disparities."""
-    return min(height, max(_BAND_MIN_ROWS, _BAND_ENTRIES // (width * nz)))
+    """Rows per band of the band pass on a level of this size and nz disparities.
+
+    At least two where the level has two rows: refine trails selection by
+    one row, and a band's rows must cover that halo row and the next.
+    """
+    return min(height, max(2, _BAND_MIN_ROWS, _BAND_ENTRIES // (width * nz)))
 
 
 def _dilate3(mask: np.ndarray) -> np.ndarray:
@@ -394,34 +399,43 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
                trusted: np.ndarray, alpha: float) -> tuple[dict, float]:
     """Full search of the untrusted pixels and refine, a band of rows at a time, in place.
 
-    Band k is selected, then band k-1 refined, as its low pixels' 3x3
-    neighbors reach into bands k-2 and k.  Selection fills the untrusted
+    Band k is selected, then rows top-1 to top+band-2 refined, the rows
+    whose low pixels' 3x3 neighbors are all selected (the last band
+    refines to the level's last row).  Selection fills the untrusted
     pixels of ``disparity`` and ``cost``, from planes over the band's rows
-    if none of them is trusted, else from the window kernel.  Refine then
-    overwrites the band's low pixels; it reads only the band's selected
-    costs and the stored vectors, and computes only the vectors that are
-    missing, by one ``dsi_rows`` call per band.
+    if none of them is trusted (a dense band), else from the window kernel.
+    Refine then overwrites the rows' low pixels; it reads only their
+    selected costs and the stored vectors, and computes only the vectors
+    that are missing, by one ``dsi_rows`` call per band.
 
-    Only computed vectors are kept: a compact store holds one arena per
-    band in flight, rows of d_max+1 costs, and a slot map over the rows in
-    flight points each pixel at its row.  A band's arena is sized before
-    the pass, for its untrusted pixels and the trusted ones within 3x3 of
-    an untrusted or low pixel, which covers every vector refine may add.
-    Returns refine's counts, keyed by their LevelTrace fields, and seconds.
+    Only computed vectors are kept, as rows of d_max+1 costs in a store,
+    and a slot map over the rows in flight points each pixel at its row.
+    Refine reads one row above the rows it refines, so band k's vectors
+    are read no more once band k+2 starts.  A band that is not dense takes
+    one of two arenas, sized before the pass for its untrusted pixels and
+    the trusted ones within 3x3 of an untrusted or low pixel, which covers
+    every vector refine may add.  Dense bands share one region of band+2
+    rows: a dense band below a dense band first moves that band's last two
+    rows to the region's top.  Returns refine's counts, keyed by their
+    LevelTrace fields, and seconds.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
     band = _band_rows(h, w, nz)
-    slots = min(3 * band, h)
+    slots = min(2 * band, h)
     reached = np.zeros((h, w), dtype=bool)  # the pixels whose vectors refine has read
     room = ~trusted  # and the trusted pixels within 3x3 of one that may be low
     np.less_equal(cost, alpha, out=room, where=trusted)
     room = _dilate3(room)
-    counts = np.add.reduceat(np.count_nonzero(room, axis=1), np.arange(0, h, band))
+    tops = np.arange(0, h, band)
+    counts = np.add.reduceat(np.count_nonzero(room, axis=1), tops)
+    dense = np.add.reduceat(np.count_nonzero(trusted, axis=1), tops) == 0
     del room
-    # Band k's vectors go to arena k % 3, which band k+3 reuses.
-    arena = np.cumsum([0] + [int(counts[a::3].max()) for a in range(min(3, counts.shape[0]))])
-    used = [0] * (arena.shape[0] - 1)
-    zero = int(arena[-1])  # the store's last row stays zero
+    # Band k's vectors go to arena k % 2, which band k+2 reuses, unless the
+    # band is dense; dense bands use the region after the arenas.
+    sizes = [int(counts[a::2][~dense[a::2]].max(initial=0)) for a in (0, 1)]
+    arena = np.cumsum([0] + sizes + [(band + 2) * w if dense.any() else 0])
+    used = [0, 0]
+    region, zero = int(arena[2]), int(arena[3])  # the store's last row stays zero
     store = np.empty((zero + 1, nz))
     store[zero] = 0.0
     # Store rows by row in flight (a ring over the level's rows) and padded
@@ -430,44 +444,65 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     slot = np.full((slots + 1, w + 2), zero, dtype=np.int32)
     ring_row = np.append(np.arange(h) % slots, slots)  # rows -1 and h read the last row
 
-    def claim(i, j):
-        """Store rows for pixels (i, j) of one band, entered in the slot map."""
-        a = (i[0] // band) % 3
-        start = arena[a] + used[a]
-        used[a] += i.shape[0]
+    def enter(i, j, start):
+        """Store rows from ``start`` for pixels (i, j), entered in the slot map."""
         slot[ring_row[i], j + 1] = np.arange(start, start + i.shape[0])
         return store[start:start + i.shape[0]]
 
+    def claim(i, j):
+        """Store rows in its band's arena for pixels (i, j) of one band."""
+        a = (i[0] // band) % 2
+        used[a] += i.shape[0]
+        return enter(i, j, arena[a] + used[a] - i.shape[0])
+
+    def reselect(i, j):
+        """Low pixels (i, j) take the best of their 3x3 neighbors' summed vectors.
+
+        A function, so its scratch is freed before the next band's planes.
+        """
+        for start in range(0, i.shape[0], _REFINE_CHUNK):
+            ci, cj = i[start:start + _REFINE_CHUNK], j[start:start + _REFINE_CHUNK]
+            summed = np.zeros((ci.shape[0], nz))  # neighbors add in (row, column) order
+            for di in (-1, 0, 1):
+                rows = ring_row[ci + di]
+                for dj in (0, 1, 2):
+                    summed += store[slot[rows, cj + dj]]
+            members = ((ci > 0) + 1 + (ci < h - 1)) * ((cj > 0) + 1 + (cj < w - 1))
+            best = np.argmax(summed, axis=1)
+            disparity[ci, cj] = best
+            cost[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
+
     refined, refine_evals, refine_seconds = 0, 0, 0.0
     sums = None  # the last dense band's block-row sums, shared with the band below
-    for top in range(0, h + band, band):  # the step past the end refines the last band
-        if top < h:
-            bottom = min(top + band, h)
-            used[(top // band) % 3] = 0  # band k-3's vectors are read no more
-            full = ~trusted[top:bottom]
-            fi, fj = np.nonzero(full)
-            fi += top
-            dense = full.all()
-            if not dense:
-                sums = None  # planes continue block-row sums from a dense band only
-            if fi.size:
+    for k, top in enumerate(tops):
+        bottom = min(top + band, h)
+        used[k % 2] = 0  # band k-2's vectors are read no more
+        fi, fj = np.nonzero(~trusted[top:bottom])
+        fi += top
+        if fi.size:
+            if dense[k]:
+                carry = k > 0 and dense[k - 1]  # the band above is in the region too
+                if carry:  # its last two rows, which refine reads next, to the region's top
+                    store[region:region + 2 * w] = store[region + band * w:region + (band + 2) * w]
+                    slot[ring_row[top - 2:top], 1:-1] = np.arange(2 * w).reshape(2, w) + region
+                vectors = enter(fi, fj, region + 2 * w)
+                # One transposing copy: plane by plane touches each store row nz times.
+                planes = np.empty((nz, bottom - top, w))
+                # Planes continue block-row sums from a dense band only.
+                sums = engine._planes(0, top, planes, sums if carry else None)
+                vectors.reshape(bottom - top, w, nz)[...] = planes.transpose(1, 2, 0)
+                del planes
+            else:
                 vectors = claim(fi, fj)
-                if dense:
-                    # One transposing copy: plane by plane touches each store row nz times.
-                    planes = np.empty((nz, bottom - top, w))
-                    sums = engine._planes(0, top, planes, sums)
-                    vectors.reshape(bottom - top, w, nz)[...] = planes.transpose(1, 2, 0)
-                    del planes
-                else:
-                    vectors[...] = engine.dsi_rows(fi, fj)
-                best = np.argmax(vectors, axis=1)
-                disparity[fi, fj] = best
-                cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
-        if top == 0:
-            continue
+                vectors[...] = engine.dsi_rows(fi, fj)
+            best = np.argmax(vectors, axis=1)
+            disparity[fi, fj] = best
+            cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
+
         t0 = time.perf_counter()
-        # The previous band's low pixels, over it and its halo rows.
-        upper, lower = top - band, min(top, h)
+        # The rows to refine, whose low pixels' neighbors are all selected,
+        # over them and their halo rows.
+        upper, lower = max(top - 1, 0), bottom - 1 if bottom < h else h
         first, end = max(upper - 1, 0), min(lower + 1, h)
         low = np.zeros((end - first, w), dtype=bool)
         low[upper - first:lower - first] = cost[upper:lower] <= alpha
@@ -479,7 +514,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             before = engine.count
             vectors = engine.dsi_rows(mi, mj)
             refine_evals += engine.count - before
-            # Rows first..end-1 span bands k-2 to k, each with its own arena.
+            # Rows first..end-1 span bands k-1 and k, each with its own arena.
             for cut in range(first // band, (end - 1) // band + 1):
                 lo, hi = np.searchsorted(mi, (cut * band, (cut + 1) * band))
                 if hi > lo:
@@ -488,17 +523,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         li, lj = np.nonzero(low)
         li += first
         refined += li.shape[0]
-        for start in range(0, li.shape[0], _REFINE_CHUNK):
-            ci, cj = li[start:start + _REFINE_CHUNK], lj[start:start + _REFINE_CHUNK]
-            summed = np.zeros((ci.shape[0], nz))  # neighbors add in (row, column) order
-            for di in (-1, 0, 1):
-                rows = ring_row[ci + di]
-                for dj in (0, 1, 2):
-                    summed += store[slot[rows, cj + dj]]
-            members = ((ci > 0) + 1 + (ci < h - 1)) * ((cj > 0) + 1 + (cj < w - 1))
-            best = np.argmax(summed, axis=1)
-            disparity[ci, cj] = best
-            cost[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
+        reselect(li, lj)
         refine_seconds += time.perf_counter() - t0
     # Refine read the vectors that selection computed, the untrusted ones.
     reused = int(np.count_nonzero(reached & ~trusted))
