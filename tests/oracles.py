@@ -6,7 +6,8 @@ purpose; correctness is the only goal.  Two exceptions:
 ``unbanded_selection`` checks the band pass's full search against a single
 request and reuses the package's trusted selection to do so, and the
 ``ndimage_*`` oracles are the ``scipy.ndimage`` calls whose bits the
-package's numpy filters reproduce.
+package's numpy filters reproduce, or, for ``ndimage_linear_upsample``,
+whose values the cost upsample matches to rounding.
 """
 
 from __future__ import annotations
@@ -214,20 +215,6 @@ def naive_nn_double(coarse, target_shape):
     return out
 
 
-def grid_bicubic_upsample(c_coarse, target_shape):
-    """Bicubic upsample that samples each target pixel centre on an explicit grid.
-
-    Target pixel (i, j) reads the coarse map at ((i + 0.5) * ch / h - 0.5,
-    (j + 0.5) * cw / w - 0.5), clamped into [-1, 1] afterwards.
-    """
-    h, w = target_shape
-    ch, cw = c_coarse.shape
-    yi = (np.arange(h) + 0.5) * (ch / h) - 0.5
-    xi = (np.arange(w) + 0.5) * (cw / w) - 0.5
-    grid = np.meshgrid(yi, xi, indexing="ij")
-    return np.clip(ndimage.map_coordinates(c_coarse, grid, order=3, mode="nearest"), -1.0, 1.0)
-
-
 def naive_metrics(disparity, gt_values, gt_invalid, scale=1.0, taus=(1.0, 2.0, 4.0)):
     """Per-pixel counting of bad-tau rates and mean absolute error."""
     h, w = disparity.shape
@@ -286,10 +273,10 @@ def ndimage_binomial(img):
     return ndimage.correlate1d(out, BINOMIAL_KERNEL, axis=1, mode="nearest")
 
 
-def ndimage_cubic_upsample(c_coarse, target_shape):
-    """Bicubic zoom onto the target's pixel centres, before any clamping."""
+def ndimage_linear_upsample(c_coarse, target_shape):
+    """Bilinear zoom onto the target's pixel centres, edge samples repeated outside."""
     (h, w), (ch, cw) = target_shape, c_coarse.shape
-    return ndimage.zoom(c_coarse, (h / ch, w / cw), order=3, mode="nearest", grid_mode=True)
+    return ndimage.zoom(c_coarse, (h / ch, w / cw), order=1, mode="nearest", grid_mode=True)
 
 
 def ndimage_dilate3(mask):

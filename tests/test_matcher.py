@@ -12,10 +12,10 @@ from scipy.ndimage import binary_dilation
 import pyrstereo
 import pyrstereo.matcher as matcher
 from oracles import (
-    grid_bicubic_upsample,
     loop_full_search,
     naive_nn_double,
     naive_selective_median,
+    ndimage_linear_upsample,
     unbanded_selection,
 )
 from pyrstereo import (
@@ -592,30 +592,47 @@ def test_upsample_propagates_invalid():
     assert np.isfinite(d_hat[2:, :]).all()
 
 
-def test_upsample_bicubic_preserves_constants_and_clamps():
+def test_upsample_bilinear_preserves_constants_and_bounds():
     const = np.full((3, 4), 0.37)
     _, c_hat = upsample_prior(np.zeros((3, 4)), const, (6, 8))
     np.testing.assert_allclose(c_hat, 0.37, atol=1e-12)
 
+    # A convex combination per pass: no output leaves its map's range, unclamped.
+    rng = np.random.default_rng(34)
     spiky = np.tile(np.array([[1.0, -1.0]]), (4, 4))
-    _, c_hat = upsample_prior(np.zeros((4, 8)), spiky, (8, 16))
-    assert c_hat.min() >= -1.0
-    assert c_hat.max() <= 1.0
+    plateaus = rng.uniform(-1.0, 1.0, (19, 24))
+    plateaus[3:11, 5:20] = -1.0
+    plateaus[12:, :9] = 1.0
+    for coarse in (spiky, plateaus, rng.uniform(-1.0, 1.0, (23, 17)) * 1e-3):
+        for h, w in ((2 * coarse.shape[0], 2 * coarse.shape[1]),
+                     (2 * coarse.shape[0] - 1, 2 * coarse.shape[1] - 1)):
+            _, c_hat = upsample_prior(np.zeros(coarse.shape), coarse, (h, w))
+            assert coarse.min() <= c_hat.min() and c_hat.max() <= coarse.max()
 
 
-def test_upsample_bicubic_equals_grid_sampling():
-    # Odd and even sizes from 1x2 up, and one full-size parent.
+def test_upsample_bilinear_equals_zoom():
+    # Odd and even sizes from 1x2 up, one full-size parent and a 1x1 map.
     rng = np.random.default_rng(33)
     shapes = [tuple(rng.integers(2, 60, size=2)) for _ in range(60)]
-    shapes += [(1, 2), (2, 1), (1, 37), (375, 450)]
+    shapes += [(1, 2), (2, 1), (1, 37), (375, 450), (1, 1)]
     for h, w in shapes:
         coarse = rng.uniform(-1.0, 1.0, size=((h + 1) // 2, (w + 1) // 2))
         _, c_hat = upsample_prior(np.zeros(coarse.shape), coarse, (h, w))
-        np.testing.assert_array_equal(c_hat, grid_bicubic_upsample(coarse, (h, w)))
-    # A 1x1 map is returned as it is; sampling it on the grid is 1 ulp off.
-    coarse = np.array([[0.9009273926518706]])
-    _, c_hat = upsample_prior(np.zeros((1, 1)), coarse, (1, 1))
-    np.testing.assert_array_equal(c_hat, coarse)
+        assert c_hat.shape == (h, w) and c_hat.dtype == np.float64
+        np.testing.assert_allclose(c_hat, ndimage_linear_upsample(coarse, (h, w)),
+                                   rtol=0, atol=2 * np.finfo(float).eps)
+
+
+def test_upsample_nan_cost_stays_local():
+    rng = np.random.default_rng(35)
+    coarse = rng.uniform(-1.0, 1.0, (6, 8))
+    coarse[2, 3] = np.nan
+    _, c_hat = upsample_prior(np.zeros((6, 8)), coarse, (12, 16))
+    # Targets 2p-1 .. 2p+2 sample within one coarse pixel of p.
+    outside = np.ones((12, 16), dtype=bool)
+    outside[3:7, 5:9] = False
+    assert np.isfinite(c_hat[outside]).all()
+    assert np.isnan(c_hat[~outside]).any()
 
 
 def test_upsample_rejects_non_dyadic_target():

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ndimage_binomial, ndimage_box_mean, ndimage_cubic_upsample, ndimage_dilate3
+from oracles import ndimage_binomial, ndimage_box_mean, ndimage_dilate3
 from pyrstereo import CostEngine, matcher, pyramid, zncc
 from pyrstereo.zncc import SIGMA_EPS
 
@@ -46,14 +46,6 @@ def test_block_statistics_are_uniform_filter(img, block):
 @given(maps())
 def test_binomial_smooth_is_correlate1d(img):
     assert_same_bits(pyramid.binomial_smooth(img), ndimage_binomial(img))
-
-
-@settings(max_examples=150, deadline=None)
-@given(sides, sides, st.data())
-def test_cubic_upsample_is_zoom(h, w, data):
-    coarse = data.draw(maps(st.just((h + 1) // 2), st.just((w + 1) // 2)))
-    assert_same_bits(matcher._cubic_upsample(coarse, (h, w)),
-                     ndimage_cubic_upsample(coarse, (h, w)))
 
 
 @settings(max_examples=150, deadline=None)
