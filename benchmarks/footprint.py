@@ -8,9 +8,12 @@ one size (height x width x d_max) are matched: one layered scene and two
 independent uniform-noise images, which leave almost nothing to trust.
 
 Each pair is matched by ``run_pipeline`` under ``tracemalloc``.  Per level
-and stage (upsample, trusted selection, band pass, median) a row prints
-the peak above that stage's start, in MiB.  Then the whole run's peak
-above its start is printed next to ``baseline_bm``'s on the same pair, and
+and stage (engine, upsample, trusted selection, band pass, median) a row
+prints two peaks in MiB: above that stage's start, then above the run's
+start.  The first is what the stage itself holds; the second is what the
+run holds while it runs, and the stage with the largest sets the run's
+peak.  Then the whole run's peak above its start is printed with the
+stage that set it, next to ``baseline_bm``'s peak on the same pair and
 their ratio.  The last line is one JSON object with the same figures.
 """
 
@@ -32,21 +35,23 @@ import scenes  # noqa: E402
 from pyrstereo import MatchConfig, baseline_bm, matcher, run_pipeline  # noqa: E402
 
 # The stages run_pipeline calls at every level, by their names in the matcher.
-STAGES = {"upsample": "upsample_prior", "trusted": "_select_trusted",
+STAGES = {"engine": "CostEngine", "upsample": "upsample_prior", "trusted": "_select_trusted",
           "band pass": "_band_pass", "median": "selective_median"}
 MIB = 2.0 ** 20
 
 
 class StagePeaks:
-    """Wraps each stage to record its peak above its start, in call order.
+    """Wraps each stage to record its peaks above its start and the run's, in call order.
 
     ``tracemalloc.reset_peak`` at a stage's start hides the peak reached
     before it, so the largest peak seen is kept for the whole run.
     """
 
     def __init__(self) -> None:
-        self.calls: list[tuple[str, int]] = []  # (stage, peak bytes above its start)
+        # (stage, peak bytes above its start, peak bytes above the run's start)
+        self.calls: list[tuple[str, int, int]] = []
         self.highest = 0
+        self.base = 0
 
     def wrap(self, stage: str, fn):
         def staged(*args, **kwargs):
@@ -58,24 +63,30 @@ class StagePeaks:
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
                 self.highest = max(self.highest, peak)
-                self.calls.append((stage, peak - start))
+                self.calls.append((stage, peak - start, peak - self.base))
         return staged
 
     def run(self, call) -> tuple[object, float]:
         """``call()``'s result and its peak above its start, in bytes."""
         tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
+            self.base = tracemalloc.get_traced_memory()[0]
             self.highest = 0
             result = call()
             self.highest = max(self.highest, tracemalloc.get_traced_memory()[1])
-            return result, self.highest - base
+            return result, self.highest - self.base
         finally:
             tracemalloc.stop()
 
 
 def pipeline_footprint(left, right, config) -> dict:
-    """Per-level stage peaks and the whole run's peak, in MiB."""
+    """Per-level stage peaks, the whole run's peak and the stage that set it, in MiB.
+
+    ``levels`` holds each stage's peak above its start, ``from_run_start``
+    the same stages' peaks above the run's start.  ``peak_stage`` names the
+    stage with the largest of these, or "outside the stages" when the run
+    peaked between them.
+    """
     peaks = StagePeaks()
     saved = {name: getattr(matcher, name) for name in STAGES.values()}
     try:
@@ -87,13 +98,22 @@ def pipeline_footprint(left, right, config) -> dict:
             setattr(matcher, name, fn)
     # Levels run coarsest first, and each one ends with its median.
     levels = iter(trace.levels)
-    by_level, current = {}, {}
-    for stage, peak in peaks.calls:
-        current[stage] = peak / MIB
+    by_level, from_start, level = {}, {}, None
+    top_stage, top = "outside the stages", 0
+    for stage, own, above_run in peaks.calls:
+        if level is None:
+            level = str(next(levels).level)
+            by_level[level], from_start[level] = {}, {}
+        by_level[level][stage] = own / MIB
+        from_start[level][stage] = above_run / MIB
+        if above_run >= top:
+            top_stage, top = f"level {level} {stage}", above_run
         if stage == "median":
-            by_level[str(next(levels).level)] = current
-            current = {}
-    return {"levels": by_level, "run_pipeline_mib": total / MIB}
+            level = None
+    if total > top:
+        top_stage = "outside the stages"
+    return {"levels": by_level, "from_run_start": from_start,
+            "run_pipeline_mib": total / MIB, "peak_stage": top_stage}
 
 
 def footprint(left, right, config) -> dict:
@@ -121,11 +141,13 @@ def main(argv=None) -> int:
     report = {}
     for name, (left, right) in pairs.items():
         row = report[name] = footprint(left, right, config)
-        print(f"{name} {args.size} seed {args.seed}: peak above start, MiB")
+        print(f"{name} {args.size} seed {args.seed}: "
+              "peak above the stage's start / above the run's start, MiB")
         for level, stages in row["levels"].items():
-            print(f"  level {level}  " + "  ".join(f"{s} {mib:6.2f}"
+            run = row["from_run_start"][level]
+            print(f"  level {level}  " + "  ".join(f"{s} {mib:5.2f}/{run[s]:5.2f}"
                                                     for s, mib in stages.items()))
-        print(f"  run_pipeline {row['run_pipeline_mib']:.2f}  "
+        print(f"  run_pipeline {row['run_pipeline_mib']:.2f} ({row['peak_stage']})  "
               f"baseline_bm {row['baseline_bm_mib']:.2f}  ratio {row['ratio']:.2f}")
     print(json.dumps(report))
     return 0

@@ -59,8 +59,8 @@ def level0_requests(scene, config):
     seen = []
     select = matcher._select_trusted
 
-    def recording(engine, d_hat, c_hat, beta):
-        result = select(engine, d_hat, c_hat, beta)
+    def recording(engine, d_hat, above):
+        result = select(engine, d_hat, above)
         seen.append((engine, d_hat, result[2]))
         return result
 

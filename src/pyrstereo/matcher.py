@@ -24,7 +24,6 @@ inputs; inside ``run_pipeline`` the band pass refines a level's maps in place.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -32,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .pyramid import build_pyramid
-from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine
+from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine, is_integer
 
 __all__ = [
     "ConfigError",
@@ -56,8 +55,9 @@ _REFINE_CHUNK = 4096
 _BAND_ENTRIES = 1 << 19
 _BAND_MIN_ROWS = 16
 # Pixels per window call of the trusted selection, in whole rows (at least
-# one); bounds the call's scratch memory to a fraction of a level's maps.
-_TRUSTED_GROUP = 1 << 15
+# one); bounds the call's per-pixel arrays to a fraction of a level's maps,
+# a few of the window kernel's chunks.
+_TRUSTED_GROUP = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -84,7 +84,7 @@ class MatchConfig:
     def __post_init__(self) -> None:
         for name in ("d_max", "levels", "block"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
+            if value is not None and not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.d_max < 1:
             raise ConfigError(f"d_max must be >= 1, got {self.d_max}")
@@ -261,22 +261,25 @@ def _trusted_windows(trusted: np.ndarray, d_hat: np.ndarray):
         yield ti, tj, d_hat[ti, tj].astype(np.intp) - 1
 
 
-def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, beta: float,
+def _select_trusted(engine: CostEngine, d_hat: np.ndarray, above: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Maps set at the trusted pixels, by window calls over row ranges; the mask; the counts.
 
-    A pixel whose prior cost exceeds ``beta`` is searched at {d_hat-1, d_hat,
-    d_hat+1} within [0, d_max], a tie keeping the smaller disparity.  The
-    rest, a NaN prior's too, are left to the band pass.  The counts are keyed
-    by their LevelTrace fields.
+    ``above`` marks the pixels whose prior cost exceeds ``beta``, so the
+    caller can free the cost map first.  Such a pixel is searched at
+    {d_hat-1, d_hat, d_hat+1} within [0, d_max], a tie keeping the smaller
+    disparity.  The rest, a NaN prior's too, are left to the band pass.
+    The counts are keyed by their LevelTrace fields.
     """
     h, w, d_max = engine.height, engine.width, engine.d_max
-    if d_hat.shape != (h, w) or c_hat.shape != (h, w):
+    if d_hat.shape != (h, w) or above.shape != (h, w):
         raise ValueError("prior maps must match the level dimensions")
     finite = np.isfinite(d_hat)
-    confident = finite & (c_hat > beta)
+    confident = finite & above
     # The window around int(d_hat) holds a legal candidate: -1 <= int(d_hat) <= d_max+1.
     trusted = confident & (d_hat > -2) & (d_hat < d_max + 2)
+    n, n_finite, n_confident = (int(np.count_nonzero(m)) for m in (trusted, finite, confident))
+    del finite, confident
 
     disparity, cost = np.empty((h, w)), np.empty((h, w))
     window_max, before = 0, engine.count
@@ -295,7 +298,6 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, be
         cost[ti, tj] = best
         legal = np.minimum(z0 + 2, d_max) - np.maximum(z0, 0) + 1
         window_max = max(window_max, int(legal.max(initial=0)))
-    n, n_finite, n_confident = (int(np.count_nonzero(m)) for m in (trusted, finite, confident))
     return disparity, cost, trusted, dict(
         trusted=n, trusted_evals=engine.count - before, trusted_window_max=window_max,
         full_search_pixels=h * w - n, fallback_nan_prior=h * w - n_finite,
@@ -508,8 +510,11 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
 
     Builds the pyramid, then matches each level from the coarsest down to
     level 0, each one around the upsampled result of the level before it
-    (the coarsest has no prior).  Returns the level-0 maps and the complete
-    trace of evaluation counters and stage timings.
+    (the coarsest has no prior).  Each level builds its own engine and
+    drops it, with the trusted mask, once its band pass is done: the
+    median repair reads the maps only, and no two levels' engines are ever
+    held at once.  Returns the level-0 maps and the complete trace of
+    evaluation counters and stage timings.
     """
     t_start = time.perf_counter()
     pyramid = build_pyramid(left, right, config.d_max,
@@ -528,12 +533,17 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
             t0 = time.perf_counter()
             d_hat, c_hat = upsample_prior(disparity, cost, level.shape)
             seconds["upsample"] = time.perf_counter() - t0
+        del disparity, cost  # the prior carries what this level reads of them
 
         t0 = time.perf_counter()
-        disparity, cost, trusted, counts = _select_trusted(engine, d_hat, c_hat, config.beta)
-        del d_hat, c_hat  # the band pass reads only the selected maps
+        above = c_hat > config.beta
+        del c_hat  # freed before the window calls, which need only the gate
+        disparity, cost, trusted, counts = _select_trusted(engine, d_hat, above)
+        del d_hat, above  # the band pass reads only the selected maps
         refine, seconds["refine"] = _band_pass(engine, disparity, cost, trusted, config.alpha)
         seconds["select"] = time.perf_counter() - t0 - seconds["refine"]
+        selection_evals = engine.count - refine["refine_evals"]
+        del engine, trusted  # the median reads the maps only
 
         t0 = time.perf_counter()
         filtered = selective_median(disparity, cost, config.alpha)
@@ -541,9 +551,10 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
         trace.levels.append(LevelTrace(
             level=level.index, height=level.shape[0], width=level.shape[1],
             d_max=level.d_max, block=level.block, **counts, **refine,
-            selection_evals=engine.count - refine["refine_evals"],
+            selection_evals=selection_evals,
             median_replaced=_count_changed(disparity, filtered), seconds=seconds))
         disparity = filtered
+        del filtered  # one name, so upsampling the maps can free them
 
     trace.total_seconds = time.perf_counter() - t_start
     return disparity, cost, trace

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zncc import check_pair
+from .zncc import check_pair, is_integer
 
 __all__ = [
     "BINOMIAL_KERNEL",
@@ -55,7 +55,31 @@ def binomial_smooth(img: np.ndarray) -> np.ndarray:
     once: smoothing the replicated columns along axis 0 gives the
     replicated columns of the smoothed image, which axis 1 then reads.
     """
+    return _smoothed_samples(np.asarray(img, dtype=np.float64), 1)
+
+
+def gaussian_downsample(img: np.ndarray) -> np.ndarray:
+    """Smooth and decimate an image to half size.
+
+    Output dimensions are ceil(input/2): decimation keeps the even source
+    coordinates so the last row/column of odd inputs is never dropped.
+    Only the kept samples are smoothed, each by the operations that
+    :func:`binomial_smooth` applies to it, so the result is
+    ``binomial_smooth(img)[::2, ::2]`` bit for bit, as a contiguous array
+    of its own.  Requires both dimensions to be at least 2.
+    """
     img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
+        raise ValueError(f"cannot downsample image of shape {img.shape}")
+    return _smoothed_samples(img, 2)
+
+
+def _smoothed_samples(img: np.ndarray, step: int) -> np.ndarray:
+    """The binomial smoothing of ``img`` at every step-th row and column from 0.
+
+    Axis 0 is smoothed at the kept rows only, over all columns and the
+    replicated ones; axis 1 then at the kept columns of those rows.
+    """
     h, w = img.shape
     k0, k1, k2 = BINOMIAL_KERNEL[:3]
     ext = np.empty((h + 4, w + 4))
@@ -64,36 +88,23 @@ def binomial_smooth(img: np.ndarray) -> np.ndarray:
     ext[2:h + 2, w + 2:] = img[:, -1:]
     ext[:2] = ext[2]
     ext[h + 2:] = ext[h + 1]
-    rows = ext[2:h + 2] * k2
-    pair = ext[:h] + ext[4:]
+    rows = ext[2:h + 2:step] * k2
+    pair = ext[:h:step] + ext[4:h + 4:step]
     pair *= k0
     rows += pair
-    np.add(ext[1:h + 1], ext[3:h + 3], out=pair)
+    np.add(ext[1:h + 1:step], ext[3:h + 3:step], out=pair)
     pair *= k1
     rows += pair
     del ext
-    out = rows[:, 2:w + 2] * k2
-    pair = pair[:, :w]
-    np.add(rows[:, :w], rows[:, 4:], out=pair)
+    out = rows[:, 2:w + 2:step] * k2
+    pair = pair[:, :out.shape[1]]
+    np.add(rows[:, :w:step], rows[:, 4:w + 4:step], out=pair)
     pair *= k0
     out += pair
-    np.add(rows[:, 1:w + 1], rows[:, 3:w + 3], out=pair)
+    np.add(rows[:, 1:w + 1:step], rows[:, 3:w + 3:step], out=pair)
     pair *= k1
     out += pair
     return out
-
-
-def gaussian_downsample(img: np.ndarray) -> np.ndarray:
-    """Smooth and decimate an image to half size.
-
-    Output dimensions are ceil(input/2): decimation keeps the even source
-    coordinates so the last row/column of odd inputs is never dropped.
-    Requires both dimensions to be at least 2.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
-        raise ValueError(f"cannot downsample image of shape {img.shape}")
-    return binomial_smooth(img)[::2, ::2]
 
 
 def level_d_max(d_max: int, k: int) -> int:
@@ -141,7 +152,7 @@ def build_pyramid(left: np.ndarray, right: np.ndarray, d_max: int,
     """
     left, right = check_pair(left, right)
     for name, value in (("d_max", d_max), ("levels", levels), ("base_block", base_block)):
-        if value is not None and not isinstance(value, (int, np.integer)):
+        if value is not None and not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")

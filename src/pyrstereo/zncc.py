@@ -68,9 +68,12 @@ SIGN_PAPER_PLUS = "paper"
 # is stored as 0, and every entry with a zero deviation costs -1.
 SIGMA_EPS = 1e-6
 
-# Cost entries per pass of the window kernel (pixels times window
-# length); bounds its scratch memory and keeps each pass in cache.
-_GATHER_CHUNK = 16384
+# Entries one pass of the window kernel gathers: b left and nz+b-1 right
+# entries per distinct block row, 2 left and 2*nz right statistics per
+# pixel, counted twice for long windows, which transpose them.  A pass's
+# scratch stays within about as many float64s however few block rows its
+# pixels share; isolated pixels gather all b block rows each.
+_GATHER_CHUNK = 1 << 18
 # Windows at least this long are laid out pixel-major, (S, nz); shorter ones
 # window-major, (nz, S), so no inner loop runs over a handful of entries.
 # Measured at level 0 of 450x375 and 128x88 scenes, block 11: the two
@@ -82,6 +85,11 @@ _REACH = 2
 # Output entries per band of a plane (rows times width); bounds its
 # scratch memory to a few bands instead of a few planes.
 _PLANE_BAND = 65536
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not, though Python counts it as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,9 +180,9 @@ class CostEngine:
     def __init__(self, left: np.ndarray, right: np.ndarray, block: int, d_max: int,
                  sign: str = SIGN_MIDDLEBURY) -> None:
         left, right = check_pair(left, right)
-        if not isinstance(block, numbers.Integral) or block < 3 or block % 2 == 0:
+        if not is_integer(block) or block < 3 or block % 2 == 0:
             raise ValueError(f"block must be an odd integer >= 3, got {block!r}")
-        if not isinstance(d_max, numbers.Integral) or d_max < 0:
+        if not is_integer(d_max) or d_max < 0:
             raise ValueError(f"d_max must be an integer >= 0, got {d_max!r}")
         if sign not in (SIGN_MIDDLEBURY, SIGN_PAPER_PLUS):
             raise ValueError(f"unknown sign convention {sign!r}")
@@ -326,8 +334,11 @@ class CostEngine:
         are sorted by (column, z0, row) and taken a chunk at a time; a pixel
         shares the block rows that the previous pixel of its (column, z0)
         run already has, so each distinct block row is correlated once over
-        the window.  A pixel's cross sums add its block rows in order p, so
-        each entry is computed by the same operations whatever else is
+        the window.  A chunk ends where its gathered entries reach
+        ``_GATHER_CHUNK``, counted from the block rows its pixels add and
+        their statistics, so its scratch is bounded however few rows the
+        pixels share.  A pixel's cross sums add its block rows in order p,
+        so each entry is computed by the same operations whatever else is
         requested with it.
 
         Every gather reads the flattened padded arrays at one flat index
@@ -376,16 +387,33 @@ class CostEngine:
                         for a, n in zip((self._lp, self._rpz, self._mean_rz, self._sigma_rz),
                                         lengths))
 
+        # Block rows a pixel adds to the distinct ones: all b at the start
+        # of a (column, z0) run, else those below the previous pixel's.
+        b = self.block
+        new = np.full(rows.shape[0], b)
+        run = (cols[1:] == cols[:-1]) & (z0[1:] == z0[:-1])
+        np.minimum(rows[1:] - rows[:-1], b, out=new[1:], where=run)
+        # A chunk's pixels end their gathers in one multiple of the budget;
+        # long windows count theirs twice, for the transposed copies.
+        gathered = new * (nz + 2 * b - 1) + 2 * (nz + 1)
+        if not short:
+            gathered *= 2
+        np.cumsum(gathered, out=gathered)
+        gathered //= _GATHER_CHUNK
+        starts = np.flatnonzero(np.diff(gathered, prepend=-1))
+        del gathered
+
         # Each chunk's costs go straight to their pixels' output rows.
         # Window index k is disparity z0+k under the paper sign and
         # z0+nz-1-k under the Middlebury one.
         out = np.empty((rows.shape[0], nz))
         flat = out.ravel()
         backwards = self.sign == SIGN_MIDDLEBURY
-        chunk = max(1, _GATHER_CHUNK // nz)
-        for start in range(0, rows.shape[0], chunk):
-            part = np.s_[start:start + chunk]
-            cross = self._window_chunk(rows[part], cols[part], z0[part], nz, sources)
+        for start, stop in zip(starts, np.append(starts[1:], rows.shape[0])):
+            part = np.s_[start:stop]
+            new[start] = b  # the chunk's first pixel shares no rows
+            cross = self._window_chunk(rows[part], cols[part], z0[part], new[part], nz,
+                                       sources)
             if short:
                 at = order[part] * nz
                 for k, entry in enumerate(cross):
@@ -396,17 +424,16 @@ class CostEngine:
         self.count += int(np.maximum(legal, 0).sum())
         return out
 
-    def _window_chunk(self, rows, cols, z0, nz, sources):
-        """Costs of sorted pixels by window index: (nz, S) if short, else (S, nz)."""
+    def _window_chunk(self, rows, cols, z0, new, nz, sources):
+        """Costs of sorted pixels by window index: (nz, S) if short, else (S, nz).
+
+        ``new`` is the number of block rows each pixel adds to the distinct
+        ones, b at the first.
+        """
         b = self.block
         short = nz < _LONG_WINDOW
         left, right, mean, sigma = sources
 
-        # Block rows a pixel adds to the distinct ones: all b at the start
-        # of a (column, z0) run, else those below the previous pixel's.
-        new = np.full(rows.shape[0], b)
-        run = (cols[1:] == cols[:-1]) & (z0[1:] == z0[:-1])
-        np.minimum(rows[1:] - rows[:-1], b, out=new[1:], where=run)
         # A pixel's b block rows are consecutive distinct rows from first.
         ends = np.cumsum(new)
         first = ends - b

@@ -253,7 +253,7 @@ def unbanded_selection(engine, d_hat, c_hat, beta):
     computed here.
     """
     before = engine.count
-    disparity, cost, trusted, counts = matcher._select_trusted(engine, d_hat, c_hat, beta)
+    disparity, cost, trusted, counts = matcher._select_trusted(engine, d_hat, c_hat > beta)
     fi, fj = np.nonzero(~trusted)
     vectors = engine.dsi_rows(fi, fj)
     best = np.argmax(vectors, axis=1)

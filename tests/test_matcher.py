@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -49,6 +50,9 @@ from pyrstereo import (
         {"d_max": 8.5},
         {"d_max": 16, "block": 5.0},
         {"d_max": 16, "levels": 1.0},
+        # A bool is an int to Python; True would search d_max 1.
+        {"d_max": True},
+        {"d_max": 16, "levels": False},
     ],
 )
 def test_config_validation(kwargs):
@@ -206,7 +210,7 @@ def test_refine_with_handed_vectors_is_bit_identical():
     """The band pass refines on selection's vectors: the maps of the stages run alone."""
     left, right, d_hat, c_hat = _fallback_prior()
     engine = CostEngine(left, right, block=5, d_max=10)
-    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.75)
+    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat > 0.75)
     # Below every cost nothing is low, so this pass only selects.
     selected = disparity.copy(), cost.copy()
     matcher._band_pass(CostEngine(left, right, block=5, d_max=10), *selected, trusted, -2.0)
@@ -387,7 +391,7 @@ def test_band_handoffs_equal_stages(pattern, rows):
         patch.setattr(matcher, "_BAND_ENTRIES", 1)  # bands of _BAND_MIN_ROWS rows
         patch.setattr(matcher, "_BAND_MIN_ROWS", band)
         engine = CostEngine(left, right, block=5, d_max=12)
-        disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
+        disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat > 0.9)
         refine, _ = matcher._band_pass(engine, disparity, cost, trusted, 0.9)
     tops = range(0, trusted.shape[0], band)
     assert [not trusted[t:t + band].any() for t in tops] == [kind == "D" for kind in pattern]
@@ -414,6 +418,29 @@ def test_flat_pipeline_counts_one_full_search():
     assert trace.total_evals == 48 * 64 * 13
 
 
+def test_each_engine_is_freed_before_its_median(monkeypatch):
+    """No level's engine outlives its band pass, nor is built while another lives."""
+    rng = np.random.default_rng(43)
+    left, right = shifted_pair(64, 80, 4, rng, cutoff=0.15)
+    engines, alive = [], []
+    build, median = matcher.CostEngine, matcher.selective_median
+
+    def tracked(*args, **kwargs):
+        alive.append(("engine", sum(ref() is not None for ref in engines)))
+        engine = build(*args, **kwargs)
+        engines.append(weakref.ref(engine))
+        return engine
+
+    def checked(*args):
+        alive.append(("median", sum(ref() is not None for ref in engines)))
+        return median(*args)
+
+    monkeypatch.setattr(matcher, "CostEngine", tracked)
+    monkeypatch.setattr(matcher, "selective_median", checked)
+    run_pipeline(left, right, MatchConfig(d_max=16, levels=2, block=5))
+    assert alive == [("engine", 0), ("median", 0)] * 3
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -432,9 +459,10 @@ def test_untrusted_pair_peak_stays_near_block_matching():
     bm_peak = _traced_peak(lambda: baseline_bm(left, right, 64, 11))
     # A whole level's vectors, or every low pixel's median window at once,
     # took eight times the baseline, and three bands of vectors in flight
-    # 2.36 times; two, with dense bands in one region of band+2 rows, take
-    # 1.79 times (27.70 against 15.49 MiB).
-    assert peak < 2.2 * bm_peak
+    # 2.36 times; two, with dense bands in one region of band+2 rows, 1.79
+    # times.  With each engine freed before its median and coarse levels
+    # owning their pixels, the level-0 band pass peaks at 1.60 times.
+    assert peak < 1.75 * bm_peak
 
 
 def test_layered_pair_peak_within_twice_block_matching():
@@ -446,8 +474,10 @@ def test_layered_pair_peak_within_twice_block_matching():
     peak = _traced_peak(lambda: trace.append(run_pipeline(left, right, MatchConfig(d_max=64))))
     bm_peak = _traced_peak(lambda: baseline_bm(left, right, 64, 11))
     assert trace[0][2].trust_fractions[-1] > 0.9
-    # A dense ring of three bands' vectors at level 0 took 2.3 times the baseline.
-    assert peak < 2 * bm_peak
+    # A dense ring of three bands' vectors at level 0 took 2.3 times the
+    # baseline, and the trusted selection's window chunks, gathering up to
+    # all block rows of 5,461 pixels, 1.58 times.
+    assert peak < 1.3 * bm_peak
 
 
 def test_band_store_scales_with_vectors_held():
@@ -461,7 +491,7 @@ def test_band_store_scales_with_vectors_held():
     d_hat, c_hat = np.full((h, w), 6.0), np.ones((h, w))
     for i, j in zip(rng.integers(0, h - 6, 60), rng.integers(0, w - 6, 60)):
         c_hat[i:i + 6, j:j + 6] = 0.0  # 6x6 patches of untrusted pixels
-    disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
+    disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat > 0.9)
     assert 0.03 < np.mean(~trusted) < 0.07
     # Untrusted pixels, and trusted ones within 3x3 of one that may be low.
     held = np.count_nonzero(binary_dilation(~trusted | (cost <= 0.9), _NEIGHBORS))
@@ -723,8 +753,8 @@ def test_trusted_pick_is_first_legal_maximum(monkeypatch, group):
         return np.round(window(rows, cols, z0, nz))
 
     monkeypatch.setattr(engine, "window", planted)
-    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, np.ones((h, w)),
-                                                              0.9)
+    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat,
+                                                              np.ones((h, w), dtype=bool))
     assert trusted.all() and stats["trusted_window_max"] == 3
     ti, tj = np.nonzero(trusted)
     z0 = d_hat[ti, tj].astype(np.intp) - 1
@@ -749,7 +779,7 @@ def test_fallback_reasons_are_counted_apart():
     c_hat[0, 1] = 0.1
     c_hat[1, :4] = [0.9, 0.5, np.nan, -1.0]  # at most beta, or NaN
     d_hat[2, :5] = [-2.0, 6.0, 9.0, -1.0, 5.0]  # the first three leave [0, d_max]
-    _, _, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
+    _, _, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat > 0.9)
     assert stats["fallback_nan_prior"] == 3
     assert stats["fallback_low_prior"] == 4
     assert stats["fallback_out_of_range"] == 3
@@ -771,7 +801,7 @@ def test_select_without_prior_is_full_search():
     assert stats["full_search_pixels"] == 15 * 19
     assert stats["selection_evals"] == engine.count == 15 * 19 * 8
     with pytest.raises(ValueError):
-        matcher._select_trusted(engine, nan, np.zeros((15, 18)), 0.9)
+        matcher._select_trusted(engine, nan, np.zeros((15, 18), dtype=bool))
 
 
 def test_match_level_with_prior_composes_stages():

@@ -64,6 +64,9 @@ def test_build_pyramid_level_parameters():
         assert coarse.d_max <= fine.d_max
         assert coarse.block <= fine.block
         assert coarse.block % 2 == 1
+        # A level owns its pixels: a view would hold the full-size smoothed image.
+        for img in (coarse.left, coarse.right):
+            assert img.flags.c_contiguous and img.base is None
 
 
 def test_build_pyramid_single_level():
@@ -94,9 +97,11 @@ def test_build_pyramid_validates_inputs():
     for shape in [(8, 8, 3), (8,)]:
         with pytest.raises(ValueError, match="expected 2-D grayscale arrays"):
             build_pyramid(np.zeros(shape), np.zeros(shape), d_max=4)
-    # Non-integer sizes fail the same way, not with a TypeError from ">>".
+    # Non-integer sizes fail the same way, not with a TypeError from ">>";
+    # so do bools, which Python counts as integers.
     for kwargs in [{"d_max": 8.5}, {"d_max": 8, "levels": 1.5},
-                   {"d_max": 8, "base_block": 11.0}]:
+                   {"d_max": 8, "base_block": 11.0}, {"d_max": True},
+                   {"d_max": 8, "levels": False}]:
         with pytest.raises(ValueError, match="must be an integer"):
             build_pyramid(np.zeros((64, 64)), np.zeros((64, 64)), **kwargs)
 

@@ -1,5 +1,7 @@
 """ZNCC cost, cost-engine and evaluation-count tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,8 +332,14 @@ def test_window_rejects_reach_beyond_padding():
     assert engine.count == 0
 
 
-# Kernel chunks of 1, 7 and 64 entries split (column, z0) runs.
-SPLITTING_CHUNKS = (1, 7, 64)
+# Kernel chunks of 1, 64 and 1000 gathered entries split (column, z0) runs:
+# one pixel a chunk, a few, a few dozen.
+SPLITTING_CHUNKS = (1, 64, 1000)
+
+
+def _gathered_at_least(nz, block):
+    """Entries the window kernel gathers for any pixel: one new block row, statistics."""
+    return nz + 2 * block - 1 + 2 * (nz + 1)
 
 
 def _window_bits(sign):
@@ -339,7 +347,7 @@ def _window_bits(sign):
     # shared by vertical neighbors as an upsampled prior gives them.
     rng = np.random.default_rng(21)
     width = 64
-    height = _GATHER_CHUNK // 3 // width + 3
+    height = _GATHER_CHUNK // (_gathered_at_least(3, 5) * width) + 3
     left, right = _random_images(rng, height, width)
     engine = CostEngine(left, right, block=5, d_max=9, sign=sign)
     starts = np.repeat(rng.integers(-1, 10, size=(height + 1) // 2), 2)[:height]
@@ -379,7 +387,7 @@ def _dsi_rows_bits(sign):
     # More pixels than one chunk of the row-shared kernel holds.
     rng = np.random.default_rng(19)
     width = 64
-    height = _GATHER_CHUNK // width + 3
+    height = _GATHER_CHUNK // (_gathered_at_least(7, 5) * width) + 3
     left, right = _random_images(rng, height, width)
     engine = CostEngine(left, right, block=5, d_max=6, sign=sign)
     pixels = rng.permutation(height * width)
@@ -403,6 +411,29 @@ def test_dsi_rows_vector_independent_of_request(sign, monkeypatch):
     for chunk in SPLITTING_CHUNKS:
         monkeypatch.setattr("pyrstereo.zncc._GATHER_CHUNK", chunk)
         np.testing.assert_array_equal(_dsi_rows_bits(sign), whole)
+
+
+def test_window_scratch_is_bounded_by_the_gather_budget():
+    """Pixels that share no block rows still gather about one budget per chunk."""
+    rng = np.random.default_rng(42)
+    h, w, block, nz = 330, 200, 11, 3
+    engine = CostEngine(*_random_images(rng, h, w), block=block, d_max=16)
+    # One pixel every block rows down each column: all b block rows are new.
+    rows, cols = np.divmod(np.arange(h // block * w), w)
+    rows *= block
+    isolated = block * (nz + 2 * block - 1) + 2 * (nz + 1)  # entries each pixel gathers
+    assert rows.size * isolated > 4 * _GATHER_CHUNK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine.window(rows, cols, 5, nz)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # The call's per-pixel arrays (sort keys, order, block-row counts, the
+    # output), then one chunk's scratch.  Chunks of a fixed number of
+    # output entries gathered all 11 block rows of 5,461 pixels: 14.2 MiB.
+    assert peak < rows.size * 16 * 8 + 1.25 * _GATHER_CHUNK * 8
 
 
 def test_costs_stay_in_range():
@@ -473,8 +504,10 @@ def test_engine_validation():
             build_pyramid(*pair, 4, levels=1, base_block=3)
         with pytest.raises(ValueError, match="complex"):
             run_pipeline(*pair, MatchConfig(d_max=4, block=3))
-    # A fractional bound would be truncated to a smaller search.
-    for kwargs in [{"block": 3, "d_max": 8.5}, {"block": 3.0, "d_max": 4}]:
+    # A fractional bound would be truncated to a smaller search, and True
+    # would search d_max 1.
+    for kwargs in [{"block": 3, "d_max": 8.5}, {"block": 3.0, "d_max": 4},
+                   {"block": 3, "d_max": True}]:
         with pytest.raises(ValueError, match="integer"):
             CostEngine(real, real, **kwargs)
 
