@@ -1,11 +1,12 @@
 """Peak memory of the matcher per level and stage, against block matching.
 
-    python3 benchmarks/footprint.py [--size 375x450x64] [--seed 103] [--levels K]
+    python3 benchmarks/footprint.py [--size 375x450x64 ...] [--seed 103] [--levels K]
 
 Run from the repository root; the package is imported from ``src/`` of
-this checkout and the scenes from ``stereobench/scenes.py``.  Two pairs of
-one size (height x width x d_max) are matched: one layered scene and two
-independent uniform-noise images, which leave almost nothing to trust.
+this checkout and the scenes from ``stereobench/scenes.py``.  At each size
+(height x width x d_max; ``--size`` may be given more than once) two pairs
+are matched: one layered scene and two independent uniform-noise images,
+which leave almost nothing to trust.
 
 Each pair is matched by ``run_pipeline`` under ``tracemalloc``.  Per level
 and stage (engine, upsample, trusted selection, band pass, median) a row
@@ -14,7 +15,9 @@ start.  The first is what the stage itself holds; the second is what the
 run holds while it runs, and the stage with the largest sets the run's
 peak.  Then the whole run's peak above its start is printed with the
 stage that set it, next to ``baseline_bm``'s peak on the same pair and
-their ratio.  The last line is one JSON object with the same figures.
+their ratio.  After every size's rows, one summary line per size gives
+both pairs' peaks, ratios and peak stages.  The last line is one JSON
+object with the same figures, keyed by size, then by pair.
 """
 
 from __future__ import annotations
@@ -124,24 +127,23 @@ def footprint(left, right, config) -> dict:
     return row
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--size", default="375x450x64", help="HxWxD_MAX of both pairs")
-    parser.add_argument("--seed", type=int, default=103, help="scene and noise seed")
-    parser.add_argument("--levels", type=int, default=None,
-                        help="pyramid halvings (default: automatic, as run_pipeline)")
-    args = parser.parse_args(argv)
+def make_pairs(size: str, seed: int, levels=None) -> tuple[MatchConfig, dict]:
+    """The config and both pairs, layered and noise, at one HxWxD_MAX size."""
+    height, width, d_max = (int(v) for v in size.split("x"))
+    scene = scenes.make_scene(scenes.scene_seeds(seed, 1)[0], height, width, d_max)
+    rng = np.random.default_rng(seed)
+    return MatchConfig(d_max=d_max, levels=levels), {
+        "layered": (scene.left, scene.right),
+        "noise": (rng.random((height, width)), rng.random((height, width)))}
 
-    height, width, d_max = (int(v) for v in args.size.split("x"))
-    config = MatchConfig(d_max=d_max, levels=args.levels)
-    scene = scenes.make_scene(scenes.scene_seeds(args.seed, 1)[0], height, width, d_max)
-    rng = np.random.default_rng(args.seed)
-    pairs = {"layered": (scene.left, scene.right),
-             "noise": (rng.random((height, width)), rng.random((height, width)))}
+
+def size_report(size: str, seed: int, levels) -> dict:
+    """Both pairs' footprints at one size, printed per level and stage."""
+    config, pairs = make_pairs(size, seed, levels)
     report = {}
     for name, (left, right) in pairs.items():
         row = report[name] = footprint(left, right, config)
-        print(f"{name} {args.size} seed {args.seed}: "
+        print(f"{name} {size} seed {seed}: "
               "peak above the stage's start / above the run's start, MiB")
         for level, stages in row["levels"].items():
             run = row["from_run_start"][level]
@@ -149,6 +151,26 @@ def main(argv=None) -> int:
                                                     for s, mib in stages.items()))
         print(f"  run_pipeline {row['run_pipeline_mib']:.2f} ({row['peak_stage']})  "
               f"baseline_bm {row['baseline_bm_mib']:.2f}  ratio {row['ratio']:.2f}")
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--size", action="append",
+                        help="HxWxD_MAX of both pairs, repeatable (default: 375x450x64)")
+    parser.add_argument("--seed", type=int, default=103, help="scene and noise seed")
+    parser.add_argument("--levels", type=int, default=None,
+                        help="pyramid halvings (default: automatic, as run_pipeline)")
+    args = parser.parse_args(argv)
+
+    report = {size: size_report(size, args.seed, args.levels)
+              for size in args.size or ["375x450x64"]}
+    print(f"summary, seed {args.seed}: run_pipeline MiB above its start "
+          "(ratio to baseline_bm, stage setting the peak)")
+    for size, pairs in report.items():
+        print(f"  {size}  " + "  ".join(
+            f"{name} {row['run_pipeline_mib']:.2f} ({row['ratio']:.2f}x, {row['peak_stage']})"
+            for name, row in pairs.items()))
     print(json.dumps(report))
     return 0
 

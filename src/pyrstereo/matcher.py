@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .pyramid import build_pyramid
-from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine, is_integer
+from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine, is_integer, level_budget
 
 __all__ = [
     "ConfigError",
@@ -46,7 +46,8 @@ __all__ = [
 ]
 
 
-# Low-cost pixels whose neighbor sums or median windows are held at a time.
+# Low-cost pixels whose neighbor sums or median windows are held at a time,
+# on a level of h*w pixels level_budget(_REFINE_CHUNK, h * w, 1 / 16).
 _REFINE_CHUNK = 4096
 # Full cost vectors one band of rows may hold (rows times width times
 # disparities), unless that is under _BAND_MIN_ROWS rows: the window kernel
@@ -56,7 +57,8 @@ _BAND_ENTRIES = 1 << 19
 _BAND_MIN_ROWS = 16
 # Pixels per window call of the trusted selection, in whole rows (at least
 # one); bounds the call's per-pixel arrays to a fraction of a level's maps,
-# a few of the window kernel's chunks.
+# a few of the window kernel's chunks.  On a level of h*w pixels
+# level_budget(_TRUSTED_GROUP, h * w, 1 / 4).
 _TRUSTED_GROUP = 1 << 14
 
 
@@ -250,11 +252,12 @@ def _linear_upsample(a: np.ndarray, n: int, axis: int) -> np.ndarray:
 def _trusted_windows(trusted: np.ndarray, d_hat: np.ndarray):
     """Yields (rows, cols, z0) of the trusted pixels per range of whole rows.
 
-    A range holds about ``_TRUSTED_GROUP`` pixels, and at least one row; z0
-    is each pixel's window start, one below its prior.
+    A range holds about ``_TRUSTED_GROUP`` pixels, or a quarter of the
+    level if that is fewer, and at least one row; z0 is each pixel's window
+    start, one below its prior.
     """
     h, w = trusted.shape
-    step = max(1, _TRUSTED_GROUP // w)
+    step = max(1, level_budget(_TRUSTED_GROUP, h * w, 1 / 4) // w)
     for top in range(0, h, step):
         ti, tj = np.nonzero(trusted[top:top + step])
         ti += top
@@ -350,6 +353,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
     band = _band_rows(h, w, nz)
+    chunk = level_budget(_REFINE_CHUNK, h * w, 1 / 16)
     slots = min(2 * band, h)
     reached = np.zeros((h, w), dtype=bool)  # the pixels whose vectors refine has read
     room = ~trusted  # and the trusted pixels within 3x3 of one that may be low
@@ -389,8 +393,8 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
 
         A function, so its scratch is freed before the next band's planes.
         """
-        for start in range(0, i.shape[0], _REFINE_CHUNK):
-            ci, cj = i[start:start + _REFINE_CHUNK], j[start:start + _REFINE_CHUNK]
+        for start in range(0, i.shape[0], chunk):
+            ci, cj = i[start:start + chunk], j[start:start + chunk]
             summed = np.zeros((ci.shape[0], nz))  # neighbors add in (row, column) order
             for di in (-1, 0, 1):
                 rows = ring_row[ci + di]
@@ -483,8 +487,9 @@ def selective_median(disparity: np.ndarray, cost: np.ndarray,
 
     out = disparity.copy()
     li, lj = np.nonzero(low)
-    for start in range(0, li.shape[0], _REFINE_CHUNK):
-        ci, cj = li[start:start + _REFINE_CHUNK], lj[start:start + _REFINE_CHUNK]
+    chunk = level_budget(_REFINE_CHUNK, low.size, 1 / 16)
+    for start in range(0, li.shape[0], chunk):
+        ci, cj = li[start:start + chunk], lj[start:start + chunk]
         cw = cwin[ci, cj].reshape(ci.shape[0], 25)
         dw = dwin[ci, cj].reshape(ci.shape[0], 25)
         qualifies = (cw > alpha) & np.isfinite(dw)

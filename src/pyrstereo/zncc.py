@@ -45,8 +45,9 @@ routine turns the sums into costs.  ``plane(z)[i, j]``,
 same bits.  Both images are first centred by one shared offset, the
 mean of their two means, which ZNCC ignores; the sums then keep the
 block deviations of bright, low-contrast images instead of cancelling
-them, and no sum spans more than one block, so roundoff does not grow
-with image size.
+them.  A cross sum spans one block, but the block statistics are running
+sums along each line (``_box_means``), whose roundoff grows with the
+line's length.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ SIGMA_EPS = 1e-6
 # entries per distinct block row, 2 left and 2*nz right statistics per
 # pixel, counted twice for long windows, which transpose them.  A pass's
 # scratch stays within about as many float64s however few block rows its
-# pixels share; isolated pixels gather all b block rows each.
+# pixels share; isolated pixels gather all b block rows each.  A level of
+# h*w pixels gathers level_budget(_GATHER_CHUNK, h * w, 8) entries a pass,
+# so a small level's passes hold about its maps' size, not 2 MiB.
 _GATHER_CHUNK = 1 << 18
 # Windows at least this long are laid out pixel-major, (S, nz); shorter ones
 # window-major, (nz, S), so no inner loop runs over a handful of entries.
@@ -90,6 +93,16 @@ _PLANE_BAND = 65536
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer; a bool is not, though Python counts it as one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def level_budget(cap: int, pixels: int, share: float) -> int:
+    """A scratch budget on a level of ``pixels`` pixels: ``share`` per pixel, at most ``cap``.
+
+    The caps are the budgets level 0 of a 450x375 scene runs at, where
+    smaller ones were measured slower; a smaller level holds scratch in
+    proportion to its maps.  At least 1.
+    """
+    return max(1, min(cap, int(pixels * share)))
 
 
 def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,6 +125,19 @@ def check_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndar
     if left.shape != right.shape:
         raise ValueError(f"left/right shapes differ: {left.shape} vs {right.shape}")
     return left, right
+
+
+def _centred_padded(img: np.ndarray, offset: float, half: int, side: int) -> np.ndarray:
+    """``img - offset`` edge-padded by ``half`` on every side, then by ``side`` zero columns."""
+    h, w = img.shape
+    out = np.zeros((h + 2 * half, w + 2 * (half + side)))
+    padded = out[:, side:side + w + 2 * half]
+    np.subtract(img, offset, out=padded[half:half + h, half:half + w])
+    padded[:half] = padded[half]
+    padded[half + h:] = padded[half + h - 1]
+    padded[:, :half] = padded[:, half:half + 1]
+    padded[:, half + w:] = padded[:, half + w - 1:half + w]
+    return out
 
 
 def _box_means(stack: np.ndarray, block: int) -> np.ndarray:
@@ -189,29 +215,29 @@ class CostEngine:
         # ZNCC ignores a shared offset; without it, bright images lose the
         # deviations to cancellation in the sums of squares and products.
         offset = (left.mean() + right.mean()) / 2
-        left, right = left - offset, right - offset
 
-        self.height, self.width = left.shape
+        h, w = self.height, self.width = left.shape
+        half = self.half = block // 2
         self.block = block
-        self.half = block // 2
         self.area = block * block
         self.d_max = int(d_max)
         self.sign = sign
         self.count = 0  # entries computed so far
 
-        self._lp = np.pad(left, self.half, mode="edge")
-        self.mean_l, self.sigma_l = self._stats(left)
-
         # The right image and its statistics carry d_max+_REACH zero columns
         # on both sides, so a window at any legal disparity reads in bounds;
         # the added columns' deviation is 0, which applies the out-of-range
-        # rule.
+        # rule.  Each image is centred straight into its padded array, and
+        # its statistics read it there: no centred copy is made.
         pad = self._pad = self.d_max + _REACH
-        side = ((0, 0), (pad, pad))
-        mean_r, sigma_r = self._stats(right)
-        self._rpz = np.pad(np.pad(right, self.half, mode="edge"), side)
-        self._mean_rz = np.pad(mean_r, side)
-        self._sigma_rz = np.pad(sigma_r, side)
+        self._lp = _centred_padded(left, offset, half, 0)
+        self.mean_l, self.sigma_l = self._stats(self._lp[half:half + h, half:half + w])
+        self._rpz = _centred_padded(right, offset, half, pad)
+        mean_r, sigma_r = self._stats(self._rpz[half:half + h, pad + half:pad + half + w])
+        # Allocated after the statistics, whose box filter needs scratch.
+        self._mean_rz, self._sigma_rz = np.zeros((2, h, w + 2 * pad))
+        self._mean_rz[:, pad:pad + w] = mean_r
+        self._sigma_rz[:, pad:pad + w] = sigma_r
         # Planes read these arrays as windows of columns: index s of a view is
         # the columns from s on of every row, as wide as a plane reads them.
         self._columns = tuple(sliding_window_view(a, n, axis=1).transpose(1, 0, 2)
@@ -334,10 +360,11 @@ class CostEngine:
         are sorted by (column, z0, row) and taken a chunk at a time; a pixel
         shares the block rows that the previous pixel of its (column, z0)
         run already has, so each distinct block row is correlated once over
-        the window.  A chunk ends where its gathered entries reach
-        ``_GATHER_CHUNK``, counted from the block rows its pixels add and
-        their statistics, so its scratch is bounded however few rows the
-        pixels share.  A pixel's cross sums add its block rows in order p,
+        the window.  A chunk ends where its gathered entries reach the
+        level's budget, ``_GATHER_CHUNK`` or 8 per pixel of the level if
+        that is fewer, counted from the block rows its pixels add and their
+        statistics, so its scratch is bounded however few rows the pixels
+        share.  A pixel's cross sums add its block rows in order p,
         so each entry is computed by the same operations whatever else is
         requested with it.
 
@@ -399,7 +426,7 @@ class CostEngine:
         if not short:
             gathered *= 2
         np.cumsum(gathered, out=gathered)
-        gathered //= _GATHER_CHUNK
+        gathered //= level_budget(_GATHER_CHUNK, self.height * self.width, 8)
         starts = np.flatnonzero(np.diff(gathered, prepend=-1))
         del gathered
 

@@ -1,22 +1,33 @@
-"""The per-stage peak memory tool runs and reports every stage."""
+"""The per-stage peak memory tool runs and reports every stage, and the footprint grid."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import footprint  # noqa: E402
 
 
 def test_footprint_runs_at_a_tiny_size(tmp_path):
+    sizes = ["48x64x8", "40x56x6"]
     result = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "footprint.py"), "--size", "48x64x8",
-         "--levels", "1"],
+        [sys.executable, str(ROOT / "benchmarks" / "footprint.py"), "--size", sizes[0],
+         "--size", sizes[1], "--levels", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout.splitlines()[-1])
-    assert set(report) == {"layered", "noise"}
-    for row in report.values():
+    lines = result.stdout.splitlines()
+    report = json.loads(lines[-1])
+    assert list(report) == sizes
+    # One summary line per size, in order, just before the JSON.
+    assert [line.split()[0] for line in lines[-3:-1]] == sizes
+    rows = [row for pairs in report.values() for row in pairs.values()]
+    assert all(set(pairs) == {"layered", "noise"} for pairs in report.values())
+    for row in rows:
         for levels in (row["levels"], row["from_run_start"]):
             assert list(levels) == ["1", "0"]
             assert set(levels["1"]) == {"engine", "trusted", "band pass", "median"}
@@ -35,3 +46,26 @@ def test_footprint_runs_at_a_tiny_size(tmp_path):
             assert run_peaks[row["peak_stage"]] == row["run_pipeline_mib"]
         assert row["baseline_bm_mib"] > 0
         assert row["ratio"] == row["run_pipeline_mib"] / row["baseline_bm_mib"]
+
+
+# The grid: the CLI's size, a level ten times wider than it is tall, and a
+# d_max above half the width, at the tool's default seed.  A cell whose peak
+# is over twice block matching's is an open defect, kept visible by a
+# strict xfail with the ratio it measured, so the fix that mends it must
+# flip it.
+_OVER = {("88x128x12", "noise"): "3.68x: a whole-level dense band and its planes copy",
+         ("48x480x32", "layered"): "5.16x: one level, one band holds the whole volume twice",
+         ("48x480x32", "noise"): "5.16x: one level, one band holds the whole volume twice",
+         ("72x96x56", "layered"): "8.89x: one level, one band holds the whole volume twice",
+         ("72x96x56", "noise"): "8.88x: one level, one band holds the whole volume twice"}
+_GRID = [pytest.param(size, pair, marks=[pytest.mark.xfail(reason=_OVER[size, pair],
+                                                           strict=True)]
+                      if (size, pair) in _OVER else [])
+         for size in ("88x128x12", "48x480x32", "72x96x56") for pair in ("layered", "noise")]
+
+
+@pytest.mark.parametrize("size, pair", _GRID)
+def test_footprint_grid_within_twice_block_matching(size, pair):
+    config, pairs = footprint.make_pairs(size, 103)
+    row = footprint.footprint(*pairs[pair], config)
+    assert row["ratio"] <= 2.0

@@ -33,6 +33,7 @@ from pyrstereo import (
     shifted_pair,
     upsample_prior,
 )
+from pyrstereo.zncc import level_budget
 
 
 @pytest.mark.parametrize(
@@ -853,6 +854,21 @@ def test_selective_median_matches_window_oracle():
         cost = rng.uniform(-1.0, 1.0, size=(9, 9))
         out = selective_median(disparity, cost, 0.6)
         np.testing.assert_array_equal(out, naive_selective_median(disparity, cost, 0.6))
+
+
+def test_selective_median_independent_of_chunk(monkeypatch):
+    """Chunks of 7 low pixels and the level-sized chunks give the same bits."""
+    rng = np.random.default_rng(17)
+    h, w = 88, 128
+    disparity = rng.integers(0, 13, size=(h, w)).astype(float)
+    disparity[rng.random((h, w)) < 0.05] = np.nan
+    cost = rng.uniform(-1.0, 1.0, size=(h, w))
+    chunk = level_budget(matcher._REFINE_CHUNK, h * w, 1 / 16)
+    assert chunk == h * w // 16 < matcher._REFINE_CHUNK  # sized by the level, not the cap
+    assert np.count_nonzero(cost <= 0.6) > 3 * chunk
+    whole = selective_median(disparity, cost, 0.6)
+    monkeypatch.setattr(matcher, "_REFINE_CHUNK", 7)
+    np.testing.assert_array_equal(selective_median(disparity, cost, 0.6), whole)
 
 
 def test_pipeline_identical_pair():

@@ -17,7 +17,7 @@ from pyrstereo import (
     shifted_pair,
 )
 from pyrstereo.cli import EXIT_CONFIG, main
-from pyrstereo.zncc import _GATHER_CHUNK, _LONG_WINDOW, _REACH, SIGMA_EPS
+from pyrstereo.zncc import _GATHER_CHUNK, _LONG_WINDOW, _REACH, SIGMA_EPS, level_budget
 
 
 def _random_images(rng, h=9, w=9):
@@ -342,12 +342,18 @@ def _gathered_at_least(nz, block):
     return nz + 2 * block - 1 + 2 * (nz + 1)
 
 
+def _gather_budget(height, width):
+    """Entries one pass of the window kernel gathers on a level of this size."""
+    return level_budget(_GATHER_CHUNK, height * width, 8)
+
+
 def _window_bits(sign):
     # Three-candidate windows, more than one pass of the kernel, starts
     # shared by vertical neighbors as an upsampled prior gives them.
     rng = np.random.default_rng(21)
     width = 64
     height = _GATHER_CHUNK // (_gathered_at_least(3, 5) * width) + 3
+    assert height * width * _gathered_at_least(3, 5) > 2 * _gather_budget(height, width)
     left, right = _random_images(rng, height, width)
     engine = CostEngine(left, right, block=5, d_max=9, sign=sign)
     starts = np.repeat(rng.integers(-1, 10, size=(height + 1) // 2), 2)[:height]
@@ -388,6 +394,7 @@ def _dsi_rows_bits(sign):
     rng = np.random.default_rng(19)
     width = 64
     height = _GATHER_CHUNK // (_gathered_at_least(7, 5) * width) + 3
+    assert height * width * _gathered_at_least(7, 5) > 2 * _gather_budget(height, width)
     left, right = _random_images(rng, height, width)
     engine = CostEngine(left, right, block=5, d_max=6, sign=sign)
     pixels = rng.permutation(height * width)
@@ -422,6 +429,7 @@ def test_window_scratch_is_bounded_by_the_gather_budget():
     rows, cols = np.divmod(np.arange(h // block * w), w)
     rows *= block
     isolated = block * (nz + 2 * block - 1) + 2 * (nz + 1)  # entries each pixel gathers
+    assert _gather_budget(h, w) == _GATHER_CHUNK  # a level this large runs at the cap
     assert rows.size * isolated > 4 * _GATHER_CHUNK
     tracemalloc.start()
     try:
@@ -434,6 +442,47 @@ def test_window_scratch_is_bounded_by_the_gather_budget():
     # output), then one chunk's scratch.  Chunks of a fixed number of
     # output entries gathered all 11 block rows of 5,461 pixels: 14.2 MiB.
     assert peak < rows.size * 16 * 8 + 1.25 * _GATHER_CHUNK * 8
+
+
+def test_window_scratch_scales_with_a_small_level():
+    """On a level smaller than the cap allows for, a pass gathers 8 entries per level pixel."""
+    rng = np.random.default_rng(43)
+    h, w, block, d_max = 88, 128, 11, 12
+    engine = CostEngine(*_random_images(rng, h, w), block=block, d_max=d_max)
+    # Every pixel at three candidates, starts shared down columns, as a
+    # trusted selection asks for them.
+    rows, cols = np.divmod(np.arange(h * w), w)
+    z0 = rng.integers(-1, d_max, size=w)[cols]
+    assert _gather_budget(h, w) == 8 * h * w < _GATHER_CHUNK
+    assert rows.size * _gathered_at_least(3, block) > 3 * _gather_budget(h, w)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine.window(rows, cols, z0, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # The call's per-pixel arrays, then one pass's scratch.  Passes of
+    # _GATHER_CHUNK entries, 2 MiB, held more than the level's maps.
+    assert peak < rows.size * 16 * 8 + 1.25 * 8 * h * w * 8
+
+
+def test_engine_constructor_transient_is_two_images():
+    """The constructor holds at most about two level images beyond what the engine keeps."""
+    rng = np.random.default_rng(44)
+    h, w = 375, 450
+    left, right = _random_images(rng, h, w)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine = CostEngine(left, right, block=11, d_max=64)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # Centred copies of both images and the right statistics unpadded
+    # beside their padded copies took 4.0 images.
+    assert peak - kept <= 2.25 * h * w * 8
+    del engine
 
 
 def test_costs_stay_in_range():
