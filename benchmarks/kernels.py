@@ -14,7 +14,10 @@ paths are then timed on that engine, one after the other in each repeat:
   from the block-row sums of the band above;
 - ``window nz=3``: the trusted three-candidate windows that ``run_pipeline``
   asks for at level 0, in the same row ranges, one ``window`` call each;
-- ``dsi_rows``: full vectors of every other pixel, the fallback request.
+- ``dsi_rows``: the band pass's full-vector requests, one ``dsi_rows``
+  call per band that is not dense, each into a buffer as the band pass
+  writes into its store: the band's untrusted pixels, then its trusted
+  pixels that refine may read.
 
 Before timing, the four paths must agree bit for bit on every entry they
 share.  Each row prints the median and quartiles over the repeats of
@@ -45,32 +48,38 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "stereobench"))
 
 import scenes  # noqa: E402
-from pyrstereo import MatchConfig, matcher, run_pipeline  # noqa: E402
+from pyrstereo import CostEngine, MatchConfig, matcher, run_pipeline  # noqa: E402
 
 DEFAULT_SIZES = ("375x450x64", "88x128x12")  # the layered and the CLI workloads' scenes
 
 
 def level0_requests(scene, config):
-    """The level-0 engine, its trusted windows and the other pixels.
+    """The level-0 engine, its trusted windows and its full-vector requests.
 
     The trusted windows are (rows, cols, z0) per row range, as selection
-    asks for them.
+    asks for them; the full-vector requests are (rows, cols) per band, as
+    the band pass asks for them.
     """
-    seen = []
-    select = matcher._select_trusted
+    seen, asked = [], []
+    select, dsi_rows = matcher._select_trusted, CostEngine.dsi_rows
 
     def recording(engine, d_hat, above):
         result = select(engine, d_hat, above)
         seen.append((engine, d_hat, result[2]))
         return result
 
-    matcher._select_trusted = recording
+    def asking(engine, rows, cols, out=None):
+        asked.append((engine, rows, cols))
+        return dsi_rows(engine, rows, cols, out)
+
+    matcher._select_trusted, CostEngine.dsi_rows = recording, asking
     try:
         run_pipeline(scene.left, scene.right, config)
     finally:
-        matcher._select_trusted = select
+        matcher._select_trusted, CostEngine.dsi_rows = select, dsi_rows
     engine, d_hat, trusted = seen[-1]  # level 0 is matched last
-    return engine, list(matcher._trusted_windows(trusted, d_hat)), np.nonzero(~trusted)
+    return (engine, list(matcher._trusted_windows(trusted, d_hat)),
+            [(rows, cols) for asker, rows, cols in asked if asker is engine])
 
 
 def band_planes(engine):
@@ -87,10 +96,15 @@ def band_planes(engine):
         yield planes
 
 
-def check_agreement(engine, trusted, fallback) -> None:
+def check_agreement(engine, trusted, requests) -> None:
     """Every path gives the same bits for every entry it shares with a plane."""
     windows = [(ti, tj, z0, engine.window(ti, tj, z0, 3)) for ti, tj, z0 in trusted]
-    vectors = engine.dsi_rows(*fallback)
+    # Each band's request as the band pass makes it, its pixels in the same order.
+    none = np.zeros(0, dtype=np.intp)
+    full = (np.concatenate([none] + [rows for rows, _ in requests]),
+            np.concatenate([none] + [cols for _, cols in requests]))
+    vectors = np.concatenate([np.zeros((0, engine.d_max + 1))]
+                             + [engine.dsi_rows(*request) for request in requests])
     # Band planes by digest, plane by plane: the bands' rows in order are the plane's bytes.
     banded = [hashlib.sha256() for _ in range(engine.d_max + 1)]
     for planes in band_planes(engine):
@@ -100,7 +114,7 @@ def check_agreement(engine, trusted, fallback) -> None:
         plane = engine.plane(z)
         if banded[z].digest() != hashlib.sha256(plane.tobytes()).digest():
             raise AssertionError(f"band planes differ from plane {z}")
-        if not np.array_equal(plane[fallback], vectors[:, z]):
+        if not np.array_equal(plane[full], vectors[:, z]):
             raise AssertionError(f"dsi_rows differs from plane {z}")
         for ti, tj, z0, costs in windows:
             for m in range(3):
@@ -109,9 +123,11 @@ def check_agreement(engine, trusted, fallback) -> None:
                     raise AssertionError(f"window entry {m} differs from plane {z}")
 
 
-def time_paths(engine, trusted, fallback, repeats: int) -> dict:
+def time_paths(engine, trusted, requests, repeats: int) -> dict:
     """ns per computed entry of each path, alternating paths in every repeat."""
     nz = engine.d_max + 1
+    sizes = [rows.size for rows, _ in requests]
+    store = np.empty((max(sizes, default=0), nz))
     paths = {
         # Each plane or band is dropped as the next is made, as the matcher does.
         "plane": (lambda: sum(1 for _ in map(engine.plane, range(nz))),
@@ -120,7 +136,8 @@ def time_paths(engine, trusted, fallback, repeats: int) -> dict:
                         engine.height * engine.width * nz),
         "window nz=3": (lambda: [engine.window(*group, 3) for group in trusted],
                         3 * sum(group[0].size for group in trusted)),
-        f"dsi_rows nz={nz}": (lambda: engine.dsi_rows(*fallback), fallback[0].size * nz),
+        f"dsi_rows nz={nz}": (lambda: [engine.dsi_rows(rows, cols, out=store[:rows.size])
+                                       for rows, cols in requests], sum(sizes) * nz),
     }
     samples = {name: [] for name, (_, entries) in paths.items() if entries}
     for _ in range(repeats):
@@ -150,12 +167,13 @@ def main(argv=None) -> int:
         height, width, d_max = (int(v) for v in size.split("x"))
         scene = scenes.make_scene(scenes.scene_seeds(args.seed, 1)[0], height, width, d_max)
         config = MatchConfig(d_max=d_max, levels=args.levels)
-        engine, trusted, fallback = level0_requests(scene, config)
-        check_agreement(engine, trusted, fallback)
-        rows = time_paths(engine, trusted, fallback, args.repeats)
+        engine, trusted, requests = level0_requests(scene, config)
+        check_agreement(engine, trusted, requests)
+        rows = time_paths(engine, trusted, requests, args.repeats)
         report[size] = rows
         print(f"{size} seed {args.seed}: {sum(group[0].size for group in trusted)} trusted "
-              f"in {len(trusted)} row ranges, {fallback[0].size} fallback pixels at level 0")
+              f"in {len(trusted)} row ranges, {sum(r.size for r, _ in requests)} full "
+              f"vectors in {len(requests)} band requests at level 0")
         for name, row in rows.items():
             median, q1, q3 = row["ns_per_entry"]
             print(f"  {name:<14} {median:8.1f} ns/entry [{q1:.1f}, {q3:.1f}]  "

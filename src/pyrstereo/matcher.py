@@ -15,7 +15,10 @@ whose prior is NaN).  Two repairs gated by ``alpha`` follow:
 The full search and the re-selection walk a level in bands of rows, the
 re-selection one row behind, so a level holds the cost vectors of two
 bands at most, and of those only the vectors it computed, in a compact
-store.  Bands with nothing trusted share one region of a band and two rows.
+store.  A band asks the engine once, for its untrusted pixels' vectors and
+those of the trusted pixels the re-selection may read; the re-selection
+only reads the store.  Bands with nothing trusted share one region of a
+band and two rows.
 
 All maps are float64; disparities are integer-valued with NaN marking
 pixels that carry no usable value.  Public stages never mutate their
@@ -110,6 +113,12 @@ class LevelTrace:
     finite (``fallback_nan_prior``), else its prior cost is at most
     ``beta`` or NaN (``fallback_low_prior``), else no candidate of its
     window lies in [0, d_max] (``fallback_out_of_range``).
+
+    ``refine_evals`` are the entries computed only because refine may read
+    them: the full vectors of the trusted pixels within 3x3 of an untrusted
+    pixel or of a trusted one whose cost is at most ``alpha``.  Refine
+    reads the untrusted pixels' vectors from the full search, and
+    ``selection_evals`` counts those.
     """
 
     level: int
@@ -127,7 +136,6 @@ class LevelTrace:
     selection_evals: int
     refined: int
     refine_evals: int
-    refine_reused: int
     median_replaced: int
     seconds: dict
 
@@ -336,17 +344,16 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     refines to the level's last row).  Selection fills the untrusted
     pixels of ``disparity`` and ``cost``, from planes over the band's rows
     if none of them is trusted (a dense band), else from the window kernel.
-    Refine then overwrites the rows' low pixels; it reads only their
-    selected costs and the stored vectors, and computes only the vectors
-    that are missing, by one ``dsi_rows`` call per band.
+    Refine then overwrites the rows' low pixels from the stored vectors and
+    the selected costs; it computes nothing.
 
     Only computed vectors are kept, as rows of d_max+1 costs in a store,
     and a slot map over the rows in flight points each pixel at its row.
     Refine reads one row above the rows it refines, so band k's vectors
-    are read no more once band k+2 starts.  A band that is not dense takes
-    one of two arenas, sized before the pass for its untrusted pixels and
-    the trusted ones within 3x3 of an untrusted or low pixel, which covers
-    every vector refine may add.  Dense bands share one region of band+2
+    are read no more once band k+2 starts.  A band that is not dense makes
+    one request, ``dsi_rows`` into arena k % 2: its untrusted pixels, then
+    its trusted pixels within 3x3 of an untrusted or low pixel, which holds
+    every vector refine may read.  Dense bands share one region of band+2
     rows: a dense band below a dense band first moves that band's last two
     rows to the region's top.  Returns refine's counts, keyed by their
     LevelTrace fields, and seconds.
@@ -355,19 +362,17 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     band = _band_rows(h, w, nz)
     chunk = level_budget(_REFINE_CHUNK, h * w, 1 / 16)
     slots = min(2 * band, h)
-    reached = np.zeros((h, w), dtype=bool)  # the pixels whose vectors refine has read
     room = ~trusted  # and the trusted pixels within 3x3 of one that may be low
     np.less_equal(cost, alpha, out=room, where=trusted)
     room = _dilate3(room)
     tops = np.arange(0, h, band)
     counts = np.add.reduceat(np.count_nonzero(room, axis=1), tops)
     dense = np.add.reduceat(np.count_nonzero(trusted, axis=1), tops) == 0
-    del room
+    room &= trusted  # the vectors a band asks for only because refine may read them
     # Band k's vectors go to arena k % 2, which band k+2 reuses, unless the
     # band is dense; dense bands use the region after the arenas.
     sizes = [int(counts[a::2][~dense[a::2]].max(initial=0)) for a in (0, 1)]
     arena = np.cumsum([0] + sizes + [(band + 2) * w if dense.any() else 0])
-    used = [0, 0]
     region, zero = int(arena[2]), int(arena[3])  # the store's last row stays zero
     store = np.empty((zero + 1, nz))
     store[zero] = 0.0
@@ -381,12 +386,6 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         """Store rows from ``start`` for pixels (i, j), entered in the slot map."""
         slot[ring_row[i], j + 1] = np.arange(start, start + i.shape[0])
         return store[start:start + i.shape[0]]
-
-    def claim(i, j):
-        """Store rows in its band's arena for pixels (i, j) of one band."""
-        a = (i[0] // band) % 2
-        used[a] += i.shape[0]
-        return enter(i, j, arena[a] + used[a] - i.shape[0])
 
     def reselect(i, j):
         """Low pixels (i, j) take the best of their 3x3 neighbors' summed vectors.
@@ -405,62 +404,46 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             disparity[ci, cj] = best
             cost[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
 
-    refined, refine_evals, refine_seconds = 0, 0, 0.0
+    refined, refine_seconds = 0, 0.0
     sums = None  # the last dense band's block-row sums, shared with the band below
     for k, top in enumerate(tops):
         bottom = min(top + band, h)
-        used[k % 2] = 0  # band k-2's vectors are read no more
         fi, fj = np.nonzero(~trusted[top:bottom])
         fi += top
-        if fi.size:
-            if dense[k]:
-                carry = k > 0 and dense[k - 1]  # the band above is in the region too
-                if carry:  # its last two rows, which refine reads next, to the region's top
-                    store[region:region + 2 * w] = store[region + band * w:region + (band + 2) * w]
-                    slot[ring_row[top - 2:top], 1:-1] = np.arange(2 * w).reshape(2, w) + region
-                vectors = enter(fi, fj, region + 2 * w)
-                # One transposing copy: plane by plane touches each store row nz times.
-                planes = np.empty((nz, bottom - top, w))
-                # Planes continue block-row sums from a dense band only.
-                sums = engine._planes(0, top, planes, sums if carry else None)
-                vectors.reshape(bottom - top, w, nz)[...] = planes.transpose(1, 2, 0)
-                del planes
-            else:
-                vectors = claim(fi, fj)
-                vectors[...] = engine.dsi_rows(fi, fj)
-            best = np.argmax(vectors, axis=1)
-            disparity[fi, fj] = best
-            cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
+        if dense[k]:
+            carry = k > 0 and dense[k - 1]  # the band above is in the region too
+            if carry:  # its last two rows, which refine reads next, to the region's top
+                store[region:region + 2 * w] = store[region + band * w:region + (band + 2) * w]
+                slot[ring_row[top - 2:top], 1:-1] = np.arange(2 * w).reshape(2, w) + region
+            vectors = enter(fi, fj, region + 2 * w)
+            # One transposing copy: plane by plane touches each store row nz times.
+            planes = np.empty((nz, bottom - top, w))
+            # Planes continue block-row sums from a dense band only.
+            sums = engine._planes(0, top, planes, sums if carry else None)
+            vectors.reshape(bottom - top, w, nz)[...] = planes.transpose(1, 2, 0)
+            del planes
+        else:
+            ri, rj = np.nonzero(room[top:bottom])
+            ri += top
+            i, j = np.concatenate((fi, ri)), np.concatenate((fj, rj))
+            vectors = enter(i, j, arena[k % 2])
+            if i.size:
+                engine.dsi_rows(i, j, out=vectors)
+            vectors = vectors[:fi.shape[0]]  # selection's part
+        best = np.argmax(vectors, axis=1)
+        disparity[fi, fj] = best
+        cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
 
         t0 = time.perf_counter()
-        # The rows to refine, whose low pixels' neighbors are all selected,
-        # over them and their halo rows.
+        # The rows to refine, whose low pixels' neighbors are all selected.
         upper, lower = max(top - 1, 0), bottom - 1 if bottom < h else h
-        first, end = max(upper - 1, 0), min(lower + 1, h)
-        low = np.zeros((end - first, w), dtype=bool)
-        low[upper - first:lower - first] = cost[upper:lower] <= alpha
-        read = _dilate3(low)
-        mi, mj = np.nonzero(read & trusted[first:end] & ~reached[first:end])
-        reached[first:end] |= read
-        if mi.size:  # none are missing where the whole level was searched in full
-            mi += first
-            before = engine.count
-            vectors = engine.dsi_rows(mi, mj)
-            refine_evals += engine.count - before
-            # Rows first..end-1 span bands k-1 and k, each with its own arena.
-            for cut in range(first // band, (end - 1) // band + 1):
-                lo, hi = np.searchsorted(mi, (cut * band, (cut + 1) * band))
-                if hi > lo:
-                    claim(mi[lo:hi], mj[lo:hi])[...] = vectors[lo:hi]
-            del vectors
-        li, lj = np.nonzero(low)
-        li += first
+        li, lj = np.nonzero(cost[upper:lower] <= alpha)
+        li += upper
         refined += li.shape[0]
         reselect(li, lj)
         refine_seconds += time.perf_counter() - t0
-    # Refine read the vectors that selection computed, the untrusted ones.
-    reused = int(np.count_nonzero(reached & ~trusted))
-    return dict(refined=refined, refine_evals=refine_evals, refine_reused=reused), refine_seconds
+    refine_evals = int(np.count_nonzero(room)) * nz
+    return dict(refined=refined, refine_evals=refine_evals), refine_seconds
 
 
 def selective_median(disparity: np.ndarray, cost: np.ndarray,

@@ -348,13 +348,16 @@ class CostEngine:
         self.count += g * n * w
         return sums
 
-    def window(self, rows: np.ndarray, cols: np.ndarray, z0, nz: int) -> np.ndarray:
+    def window(self, rows: np.ndarray, cols: np.ndarray, z0, nz: int,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Costs of each pixel at disparities z0..z0+nz-1, shape (S, nz).
 
-        ``z0`` is one start per pixel, or one for all.  A window may reach
-        up to two disparities past [0, d_max] on either side; entries there
-        follow the same cost rule but are not counted, so the count grows
-        by the number of entries inside [0, d_max].
+        ``z0`` is one start per pixel, or one for all.  The costs are
+        written into ``out`` if given, a C-contiguous float64 array of that
+        shape, and returned in it.  A window may reach up to two
+        disparities past [0, d_max] on either side; entries there follow
+        the same cost rule but are not counted, so the count grows by the
+        number of entries inside [0, d_max].
 
         Block row p of pixel (i, j) is padded row i+p at column j.  Pixels
         are sorted by (column, z0, row) and taken a chunk at a time; a pixel
@@ -390,6 +393,12 @@ class CostEngine:
             raise ValueError(f"window length must be >= 1, got {nz}")
         if z0.size and (z0.min() < -_REACH or z0.max() + nz - 1 > self.d_max + _REACH):
             raise ValueError(f"window reaches beyond [{-_REACH}, {self.d_max + _REACH}]")
+        if out is None:
+            out = np.empty((rows.shape[0], nz))
+        elif (out.shape != (rows.shape[0], nz) or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                             f"{(rows.shape[0], nz)}")
 
         if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= self.height
                           or cols.max() >= self.width):
@@ -433,7 +442,6 @@ class CostEngine:
         # Each chunk's costs go straight to their pixels' output rows.
         # Window index k is disparity z0+k under the paper sign and
         # z0+nz-1-k under the Middlebury one.
-        out = np.empty((rows.shape[0], nz))
         flat = out.ravel()
         backwards = self.sign == SIGN_MIDDLEBURY
         for start, stop in zip(starts, np.append(starts[1:], rows.shape[0])):
@@ -528,9 +536,10 @@ class CostEngine:
         np.clip(cross, -1.0, 1.0, out=cross)
         np.copyto(cross, -1.0, where=bad)
 
-    def dsi_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Full cost vectors for a sparse pixel set, shape (S, d_max+1)."""
-        return self.window(rows, cols, 0, self.d_max + 1)
+    def dsi_rows(self, rows: np.ndarray, cols: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Full cost vectors for a sparse pixel set, shape (S, d_max+1), into ``out`` if given."""
+        return self.window(rows, cols, 0, self.d_max + 1, out)
 
 
 def _gather(source: np.ndarray, index: np.ndarray, n: int, short: bool) -> np.ndarray:

@@ -217,7 +217,7 @@ def test_serialised_key_sets(pair, tmp_path):
             "trusted_fraction", "trusted_evals", "trusted_window_max",
             "full_search_pixels", "fallback_nan_prior", "fallback_low_prior",
             "fallback_out_of_range", "selection_evals", "refined", "refine_evals",
-            "refine_reused", "median_replaced", "seconds",
+            "median_replaced", "seconds",
         }
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["config"]) == {"d_max", "levels", "block", "alpha", "beta", "sign"}

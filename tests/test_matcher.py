@@ -207,6 +207,16 @@ def _fallback_prior():
     return left, right, d_hat, c_hat
 
 
+def _room(trusted, selected_cost, alpha):
+    """Trusted pixels within 3x3 of an untrusted pixel or of a trusted low one.
+
+    Each band asks for these vectors along with its untrusted ones,
+    because refine may read them: the oracle of ``refine_evals``.
+    """
+    low = ~trusted | (trusted & (selected_cost <= alpha))
+    return binary_dilation(low, structure=_NEIGHBORS) & trusted
+
+
 def test_refine_with_handed_vectors_is_bit_identical():
     """The band pass refines on selection's vectors: the maps of the stages run alone."""
     left, right, d_hat, c_hat = _fallback_prior()
@@ -222,19 +232,21 @@ def test_refine_with_handed_vectors_is_bit_identical():
     np.testing.assert_array_equal(selected[0], sel_d)
     np.testing.assert_array_equal(selected[1], sel_c)
     assert stats.items() <= sel_stats.items()
-    assert sel_stats["selection_evals"] == engine.count - refine["refine_evals"]
     assert 0 < stats["trusted"] < disparity.size
     want_d, want_c = refine_level(fresh, sel_d, sel_c, 0.9)
     # The pass refined the maps it was handed.
     np.testing.assert_array_equal(disparity, want_d)
     np.testing.assert_array_equal(cost, want_c)
 
-    # Read, not computed again: the untrusted vectors in the 3x3-dilated low set.
+    # Counted from the request: the trusted vectors refine may read, each
+    # once, next to selection's.  The stages' refine computes the vectors
+    # of the whole 3x3-dilated low set, which reads the untrusted ones again.
+    room = np.count_nonzero(_room(trusted, sel_c, 0.9))
+    assert refine["refine_evals"] == room * 11 > 0
+    assert engine.count == sel_stats["selection_evals"] + refine["refine_evals"]
     needed = binary_dilation(sel_c <= 0.9, structure=_NEIGHBORS)
-    reused = np.count_nonzero(needed & ~trusted)
-    assert reused > 0
-    assert fresh.count - engine.count == reused * 11
-    assert refine["refine_reused"] == reused
+    assert fresh.count - sel_stats["selection_evals"] == np.count_nonzero(needed) * 11
+    assert np.count_nonzero(needed & trusted) <= room
     assert refine["refined"] == np.count_nonzero(sel_c <= 0.9)
 
 
@@ -242,8 +254,8 @@ def _staged_pipeline(left, right, config):
     """run_pipeline's levels from stages run alone, selection not in bands.
 
     Per level, coarsest first: the maps refine returns, the median's
-    output, and the level's selection counts, refine count, low pixels, and
-    the size of the 3x3-dilated low set and of its untrusted part.
+    output, and the level's selection counts, low pixels, and the trusted
+    pixels refine reads and those within 3x3 of a pixel that may be low.
     """
     levels = []
     disparity = cost = None
@@ -263,10 +275,9 @@ def _staged_pipeline(left, right, config):
         filtered = selective_median(disparity, cost, config.alpha)
         needed = binary_dilation(sel_c <= config.alpha, structure=_NEIGHBORS)
         levels.append({"maps": (disparity, cost, filtered), "stats": stats,
-                       "refine_evals": engine.count - stats["selection_evals"],
                        "refined": int(np.count_nonzero(sel_c <= config.alpha)),
-                       "needed": int(np.count_nonzero(needed)),
-                       "reused": int(np.count_nonzero(needed & ~trusted))})
+                       "read": int(np.count_nonzero(needed & trusted)),
+                       "room": int(np.count_nonzero(_room(trusted, sel_c, config.alpha)))})
         disparity = filtered
     return disparity, cost, levels
 
@@ -296,16 +307,18 @@ def test_pipeline_refine_reuse_is_exact():
     np.testing.assert_array_equal(got_d, want_d)
     np.testing.assert_array_equal(got_c, want_c)
 
-    # The coarsest level's selection computed every vector its refine reads.
-    assert got.levels[0].refine_evals == 0
-    assert got.levels[0].refine_reused == want[0]["needed"] > 0
+    # The coarsest level trusts no pixel: its full search holds every vector
+    # its refine reads.  Below it, the trusted vectors refine may read are
+    # counted once each, a superset of those it reads.
+    assert got.levels[0].refine_evals == want[0]["room"] == 0
+    assert got.levels[0].refined > 0
     for a, b in zip(got.levels, want):
-        assert a.refine_reused <= a.full_search_pixels
-        assert b["refine_evals"] == b["needed"] * (a.d_max + 1)
-        assert b["refine_evals"] - a.refine_evals == a.refine_reused * (a.d_max + 1)
-        assert a.to_dict()["refine_reused"] == a.refine_reused
-    assert sum(b["refine_evals"] for b in want) - sum(a.refine_evals for a in got.levels) \
-        == sum(lt.refine_reused * (lt.d_max + 1) for lt in got.levels)
+        assert a.refine_evals == b["room"] * (a.d_max + 1)
+        assert b["read"] <= b["room"]
+        assert a.to_dict()["refine_evals"] == a.refine_evals
+        assert a.evals == (a.trusted_evals + a.full_search_pixels * (a.d_max + 1)
+                           + a.refine_evals)
+    assert got.levels[1].refine_evals > 0
 
 
 @st.composite
@@ -344,10 +357,10 @@ def test_band_pass_equals_stages_at_any_band_height(inputs):
         for name in ("trusted", "trusted_evals", "trusted_window_max",
                      "full_search_pixels", "selection_evals"):
             assert getattr(lt, name) == b["stats"][name]
-        assert lt.refine_evals == (b["needed"] - lt.refine_reused) * (lt.d_max + 1)
-        # The band pass tracks which vectors refine read across band halos.
+        # Each band asks for its trusted pixels within 3x3 of a pixel that
+        # may be low, across band halos, and no more.
+        assert lt.refine_evals == b["room"] * (lt.d_max + 1)
         assert lt.refined == b["refined"]
-        assert lt.refine_reused == b["reused"]
 
 
 def test_band_rows_floor_is_two_rows(monkeypatch):
@@ -399,12 +412,43 @@ def test_band_handoffs_equal_stages(pattern, rows):
     assert all(not trusted[t:t + band].all() for t in tops)
     np.testing.assert_array_equal(disparity, want_d)
     np.testing.assert_array_equal(cost, want_c)
-    needed = binary_dilation(sel_c <= 0.9, structure=_NEIGHBORS)
-    reused = np.count_nonzero(needed & ~trusted)
-    assert reused > 0
-    assert refine["refine_reused"] == reused
-    assert refine["refine_evals"] == fresh.count - stats["selection_evals"] - reused * 13
+    assert refine["refine_evals"] == np.count_nonzero(_room(trusted, sel_c, 0.9)) * 13
+    assert engine.count == stats["selection_evals"] + refine["refine_evals"]
     assert refine["refined"] == np.count_nonzero(sel_c <= 0.9)
+
+
+@pytest.mark.parametrize("pattern", ["DDMDMMDD", "MDDMMDDM"])
+def test_one_window_request_per_mixed_band(pattern, monkeypatch):
+    """A mixed band asks once, for its untrusted pixels, then the trusted ones
+    refine may read; a dense band takes planes, and refine asks for nothing."""
+    band = 3
+    left, right, d_hat, c_hat = _handoff_level(pattern, band)
+    monkeypatch.setattr(matcher, "_BAND_ENTRIES", 1)  # bands of _BAND_MIN_ROWS rows
+    monkeypatch.setattr(matcher, "_BAND_MIN_ROWS", band)
+    engine = CostEngine(left, right, block=5, d_max=12)
+    disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat > 0.9)
+    room = _room(trusted, cost, 0.9)  # before the pass overwrites the maps
+    want = []
+    for top in range(0, trusted.shape[0], band):
+        if trusted[top:top + band].any():
+            fi, fj = np.nonzero(~trusted[top:top + band])
+            ri, rj = np.nonzero(room[top:top + band])
+            want.append((np.concatenate((fi, ri)) + top, np.concatenate((fj, rj))))
+
+    calls = []
+    window = CostEngine.window
+
+    def recording(self, rows, cols, z0, nz, out=None):
+        calls.append((np.array(rows), np.array(cols), z0, nz))
+        return window(self, rows, cols, z0, nz, out)
+
+    monkeypatch.setattr(CostEngine, "window", recording)
+    matcher._band_pass(engine, disparity, cost, trusted, 0.9)
+    assert len(calls) == len(want) == pattern.count("M")
+    for (rows, cols, z0, nz), (want_rows, want_cols) in zip(calls, want):
+        assert want_rows.size > 0 and (z0, nz) == (0, 13)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
 
 
 def test_flat_pipeline_counts_one_full_search():
@@ -415,7 +459,7 @@ def test_flat_pipeline_counts_one_full_search():
     _, _, trace = run_pipeline(left, right, MatchConfig(d_max=12, levels=0, block=5))
     (lt,) = trace.levels
     assert lt.refined > 0
-    assert lt.refine_evals == 0 and lt.refine_reused > 0
+    assert lt.refine_evals == 0
     assert trace.total_evals == 48 * 64 * 13
 
 

@@ -332,6 +332,31 @@ def test_window_rejects_reach_beyond_padding():
     assert engine.count == 0
 
 
+@pytest.mark.parametrize("nz", [3, _LONG_WINDOW + 1])
+def test_window_writes_into_out(nz):
+    """Costs written into ``out`` are the returned array's bits, in either layout."""
+    rng = np.random.default_rng(22)
+    left, right = _random_images(rng, 12, 16)
+    engine = CostEngine(left, right, block=3, d_max=nz + 2)
+    rows, cols = np.divmod(rng.permutation(12 * 16)[:50], 16)
+    z0 = rng.integers(-1, 3, size=50)
+    want = engine.window(rows, cols, z0, nz)
+    store = np.full((60, nz), np.nan)
+    view = store[5:55]
+    assert engine.window(rows, cols, z0, nz, out=view) is view
+    np.testing.assert_array_equal(view, want)
+    assert np.isnan(store[:5]).all() and np.isnan(store[55:]).all()
+    full = np.empty((50, nz + 3))
+    np.testing.assert_array_equal(engine.dsi_rows(rows, cols, out=full),
+                                  engine.dsi_rows(rows, cols))
+    count = engine.count
+    for bad in (np.empty((49, nz)), np.empty((50, nz + 1)), np.empty(50 * nz),
+                np.empty((100, nz))[::2], np.empty((50, nz), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out"):
+            engine.window(rows, cols, z0, nz, out=bad)
+    assert engine.count == count
+
+
 # Kernel chunks of 1, 64 and 1000 gathered entries split (column, z0) runs:
 # one pixel a chunk, a few, a few dozen.
 SPLITTING_CHUNKS = (1, 64, 1000)
