@@ -56,10 +56,14 @@ def _flatten(prefix: str, value, into: list[str]) -> None:
         into.append(f"{prefix}={value}")
 
 
-def _write_report(data: dict, stem: str) -> None:
-    with open(stem + ".json", "w", encoding="ascii") as fh:
+def _write_json(data: dict, path: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_report(data: dict, stem: str) -> None:
+    _write_json(data, stem + ".json")
     lines: list[str] = []
     _flatten("", data, lines)
     with open(stem + ".txt", "w", encoding="ascii") as fh:
@@ -114,6 +118,12 @@ def _resolve_dmax(args) -> tuple[int, CalibInfo | None]:
     if args.dmax is None:
         raise ConfigError("either --dmax or --calib is required")
     return args.dmax, None
+
+
+def _match_config(args, d_max: int) -> MatchConfig:
+    """The matching parameters of a run: d_max, then the rest from its arguments."""
+    return MatchConfig(d_max=d_max, levels=args.levels, block=args.block,
+                       alpha=args.alpha, beta=args.beta, sign=args.sign)
 
 
 def _check_calib_size(calib: CalibInfo, image: np.ndarray, calib_path: str) -> None:
@@ -184,8 +194,7 @@ def _write_manifest(command: str, out_dir: str, inputs: dict, config: dict, outp
 def cmd_compute(args) -> int:
     t_total = time.perf_counter()
     d_max, calib = _resolve_dmax(args)
-    config = MatchConfig(d_max=d_max, levels=args.levels, block=args.block,
-                         alpha=args.alpha, beta=args.beta, sign=args.sign)
+    config = _match_config(args, d_max)
 
     t0 = time.perf_counter()
     left, right = _load_pair(args.left, args.right, calib, args.calib)
@@ -296,8 +305,7 @@ def _bench_scene(scene: str, paths: tuple[str, str, str, str], args) -> dict:
     calib = read_calib(calib_path)
     left, right = _load_pair(left_path, right_path, calib, calib_path)
     gt = read_pfm(gt_path)
-    config = MatchConfig(d_max=calib.ndisp, levels=args.levels, block=args.block,
-                         alpha=args.alpha, beta=args.beta, sign=args.sign)
+    config = _match_config(args, calib.ndisp)
 
     disparity, _, trace = run_pipeline(left, right, config)
     ours = evaluate(disparity, gt, scale=args.scale)
@@ -365,9 +373,7 @@ def cmd_bench(args) -> int:
             "runtime_minutes": REFERENCE_RUNTIME_MINUTES,
         },
     }
-    with open(paths["bench_json"], "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, paths["bench_json"])
 
     total = time.perf_counter() - t_total
     _write_manifest(

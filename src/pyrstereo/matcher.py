@@ -13,12 +13,12 @@ whose prior is NaN).  Two repairs gated by ``alpha`` follow:
   in their 5x5 window.
 
 The full search and the re-selection walk a level in bands of rows, the
-re-selection one row behind, so a level holds the cost vectors of two
-bands at most, and of those only the vectors it computed, in a compact
-store.  A band asks the engine once, for its untrusted pixels' vectors and
-those of the trusted pixels the re-selection may read; the re-selection
-only reads the store.  Bands with nothing trusted share one region of a
-band and two rows.
+re-selection one row behind, so a level holds the cost vectors of one
+band and the two rows above it at most, and of those only the vectors it
+computed, in a compact store.  A band asks the engine once, for its
+untrusted pixels' vectors and those of the trusted pixels the
+re-selection may read (planes, where it trusts nothing); the re-selection
+only reads the store.
 
 All maps are float64; disparities are integer-valued with NaN marking
 pixels that carry no usable value.  Public stages never mutate their
@@ -347,33 +347,28 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     Refine then overwrites the rows' low pixels from the stored vectors and
     the selected costs; it computes nothing.
 
-    Only computed vectors are kept, as rows of d_max+1 costs in a store,
-    and a slot map over the rows in flight points each pixel at its row.
-    Refine reads one row above the rows it refines, so band k's vectors
-    are read no more once band k+2 starts.  A band that is not dense makes
-    one request, ``dsi_rows`` into arena k % 2: its untrusted pixels, then
-    its trusted pixels within 3x3 of an untrusted or low pixel, which holds
-    every vector refine may read.  Dense bands share one region of band+2
-    rows: a dense band below a dense band first moves that band's last two
-    rows to the region's top.  Returns refine's counts, keyed by their
-    LevelTrace fields, and seconds.
+    Only the vectors refine may read are held: the untrusted pixels' and
+    those of the trusted pixels within 3x3 of an untrusted or low pixel,
+    every pixel of a dense band.  They are rows of d_max+1 costs in a
+    store, and a slot map over the rows in flight points each pixel at its
+    row.  Refine reads one row above the rows it refines, so before band k
+    the held vectors of rows top-2 and top-1 move to the store's top, and
+    the band's follow them: its planes if it is dense, else one
+    ``dsi_rows`` request for its untrusted pixels, then its trusted held
+    pixels.  Returns refine's counts, keyed by their LevelTrace fields,
+    and seconds.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
     band = _band_rows(h, w, nz)
     chunk = level_budget(_REFINE_CHUNK, h * w, 1 / 16)
     slots = min(2 * band, h)
-    room = ~trusted  # and the trusted pixels within 3x3 of one that may be low
-    np.less_equal(cost, alpha, out=room, where=trusted)
-    room = _dilate3(room)
+    held = ~trusted  # and the trusted pixels within 3x3 of one that may be low
+    np.less_equal(cost, alpha, out=held, where=trusted)
+    held = _dilate3(held)
     tops = np.arange(0, h, band)
-    counts = np.add.reduceat(np.count_nonzero(room, axis=1), tops)
     dense = np.add.reduceat(np.count_nonzero(trusted, axis=1), tops) == 0
-    room &= trusted  # the vectors a band asks for only because refine may read them
-    # Band k's vectors go to arena k % 2, which band k+2 reuses, unless the
-    # band is dense; dense bands use the region after the arenas.
-    sizes = [int(counts[a::2][~dense[a::2]].max(initial=0)) for a in (0, 1)]
-    arena = np.cumsum([0] + sizes + [(band + 2) * w if dense.any() else 0])
-    region, zero = int(arena[2]), int(arena[3])  # the store's last row stays zero
+    # The store holds rows top-2 .. bottom-1 of any band; its last row stays zero.
+    zero = max(int(np.count_nonzero(held[max(top - 2, 0):top + band])) for top in tops)
     store = np.empty((zero + 1, nz))
     store[zero] = 0.0
     # Store rows by row in flight (a ring over the level's rows) and padded
@@ -404,32 +399,36 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             disparity[ci, cj] = best
             cost[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
 
-    refined, refine_seconds = 0, 0.0
-    sums = None  # the last dense band's block-row sums, shared with the band below
+    refined, requested, refine_seconds = 0, 0, 0.0
+    sums = None  # a dense band's block-row sums, shared with a dense band below
     for k, top in enumerate(tops):
         bottom = min(top + band, h)
+        # Rows top-2 and top-1 to the store's top, read at their old slots first.
+        ai, aj = np.nonzero(held[max(top - 2, 0):top])
+        ai += max(top - 2, 0)
+        start = ai.shape[0]
+        store[:start] = store[slot[ring_row[ai], aj + 1]]
+        enter(ai, aj, 0)
+        del ai, aj
         fi, fj = np.nonzero(~trusted[top:bottom])
         fi += top
         if dense[k]:
-            carry = k > 0 and dense[k - 1]  # the band above is in the region too
-            if carry:  # its last two rows, which refine reads next, to the region's top
-                store[region:region + 2 * w] = store[region + band * w:region + (band + 2) * w]
-                slot[ring_row[top - 2:top], 1:-1] = np.arange(2 * w).reshape(2, w) + region
-            vectors = enter(fi, fj, region + 2 * w)
+            vectors = enter(fi, fj, start)
             # One transposing copy: plane by plane touches each store row nz times.
             planes = np.empty((nz, bottom - top, w))
-            # Planes continue block-row sums from a dense band only.
-            sums = engine._planes(0, top, planes, sums if carry else None)
+            sums = engine._planes(0, top, planes, sums)
             vectors.reshape(bottom - top, w, nz)[...] = planes.transpose(1, 2, 0)
             del planes
         else:
-            ri, rj = np.nonzero(room[top:bottom])
+            ri, rj = np.nonzero(held[top:bottom] & trusted[top:bottom])
             ri += top
+            requested += ri.shape[0]
             i, j = np.concatenate((fi, ri)), np.concatenate((fj, rj))
-            vectors = enter(i, j, arena[k % 2])
+            vectors = enter(i, j, start)
             if i.size:
                 engine.dsi_rows(i, j, out=vectors)
             vectors = vectors[:fi.shape[0]]  # selection's part
+            sums = None
         best = np.argmax(vectors, axis=1)
         disparity[fi, fj] = best
         cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]
@@ -442,8 +441,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         refined += li.shape[0]
         reselect(li, lj)
         refine_seconds += time.perf_counter() - t0
-    refine_evals = int(np.count_nonzero(room)) * nz
-    return dict(refined=refined, refine_evals=refine_evals), refine_seconds
+    return dict(refined=refined, refine_evals=requested * nz), refine_seconds
 
 
 def selective_median(disparity: np.ndarray, cost: np.ndarray,

@@ -550,7 +550,7 @@ def test_band_store_scales_with_vectors_held():
 
 
 def test_untrusted_level_holds_band_plus_two_rows_of_vectors():
-    """With nothing trusted, dense bands share one region of band+2 rows of vectors."""
+    """With nothing trusted, the store holds band+2 rows of vectors."""
     rng = np.random.default_rng(41)
     h, w, d_max, block = 200, 240, 32, 7
     nz = d_max + 1
@@ -564,7 +564,7 @@ def test_untrusted_level_holds_band_plus_two_rows_of_vectors():
         matcher._band_pass(engine, disparity, cost, untrusted, 0.9)[0]))
     assert counts[0]["refined"] > 0.9 * h * w  # refine's scratch is at its largest
     row = w * nz * 8
-    # The region's band+2 rows, one band of planes before their copy, the
+    # The store's band+2 rows, one band of planes before their copy, the
     # b-1 rows of block-row sums carried between bands, and the pass
     # scratch.  Three whole bands of vectors took 19.2 MiB here, against
     # 11.5 MiB allowed.
@@ -572,8 +572,27 @@ def test_untrusted_level_holds_band_plus_two_rows_of_vectors():
     assert peak < (band + 2 + band + block - 1) * row + scratch
 
 
+def test_mixed_level_holds_band_plus_two_rows_of_vectors():
+    """Bands with a trusted pixel each hold, as dense ones, band+2 rows of vectors."""
+    rng = np.random.default_rng(41)
+    h, w, d_max, block = 200, 240, 32, 7
+    nz = d_max + 1
+    engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=block, d_max=d_max)
+    band = matcher._band_rows(h, w, nz)
+    trusted = np.zeros((h, w), dtype=bool)
+    trusted[::band, w // 2] = True  # every band is mixed, and nearly all held
+    disparity, cost = np.zeros((h, w)), np.ones((h, w))
+    peak = _traced_peak(lambda: matcher._band_pass(engine, disparity, cost, trusted, 0.9))
+    row = w * nz * 8
+    # The store's band+2 rows, then one band's window request: its
+    # per-pixel arrays and one chunk's scratch.  Two arenas, each sized by
+    # the largest band of its parity, held 184 rows here.
+    scratch = band * w * 16 * 8 + 1.25 * level_budget(pyrstereo.zncc._GATHER_CHUNK, h * w, 8) * 8
+    assert peak < (band + 2) * row + scratch
+
+
 def test_refine_peak_is_one_vector_store(monkeypatch):
-    """Where every pixel is low, refine holds two bands of vectors, plus scratch."""
+    """Where every pixel is low, refine holds one band and two rows of vectors, plus scratch."""
     rng = np.random.default_rng(30)
     h, w, d_max = 200, 240, 32
     engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=5, d_max=d_max)
@@ -589,9 +608,9 @@ def test_refine_peak_is_one_vector_store(monkeypatch):
         peak = _traced_peak(lambda: refine_level(engine, disparity, cost, alpha=0.9))
         # Summing all neighbors at once held four such stores.
         assert peak < 2 * store
-        # The store's two bands, one band's vectors on their way in, scratch;
-        # the bound dates from a store of three bands.
-        assert peak < 4.5 * slab + scratch
+        # The store's band and two rows, and scratch.  Two bands of vectors,
+        # one per arena, took 1.95 slabs above the scratch.
+        assert peak < 1.5 * slab + scratch
 
 
 def test_package_exports_matcher_api():
