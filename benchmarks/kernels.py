@@ -9,9 +9,11 @@ size (height x width x d_max) one layered scene is matched by
 paths are then timed on that engine, one after the other in each repeat:
 
 - ``plane``: every plane 0..d_max;
-- ``band planes``: every plane again, a band of rows at a time as the band
-  pass takes them when no pixel of a band is trusted, each band continuing
-  from the block-row sums of the band above;
+- ``band planes``: every entry again, as the band pass computes a band of
+  rows when none of its pixels is trusted: the costs kernel fills the
+  band's (rows, width, d_max+1) store rows pixel-major, in place, and
+  each band continues from the ring of block-row sums the band above
+  returned;
 - ``window nz=3``: the trusted three-candidate windows that ``run_pipeline``
   asks for at level 0, in the same row ranges, one ``window`` call each;
 - ``dsi_rows``: the band pass's full-vector requests, one ``dsi_rows``
@@ -83,17 +85,19 @@ def level0_requests(scene, config):
 
 
 def band_planes(engine):
-    """Every plane, one band pass band of rows at a time: yields (nz, rows, w) arrays.
+    """Every entry, one band pass band of rows at a time: yields (rows, w, nz) arrays.
 
-    The bands are as tall as the band pass makes them on this engine's level.
+    The bands are as tall as the band pass makes them on this engine's
+    level, and each is written into one reused buffer, as into the store.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
     band = matcher._band_rows(h, w, nz)
+    store = np.empty((band, w, nz))
     sums = None
     for top in range(0, h, band):
-        planes = np.empty((nz, min(band, h - top), w))
-        sums = engine._planes(0, top, planes, sums)
-        yield planes
+        vectors = store[:min(band, h - top)]
+        sums = engine._costs(0, top, vectors, sums)
+        yield vectors
 
 
 def check_agreement(engine, trusted, requests) -> None:
@@ -107,9 +111,9 @@ def check_agreement(engine, trusted, requests) -> None:
                              + [engine.dsi_rows(*request) for request in requests])
     # Band planes by digest, plane by plane: the bands' rows in order are the plane's bytes.
     banded = [hashlib.sha256() for _ in range(engine.d_max + 1)]
-    for planes in band_planes(engine):
-        for digest, rows in zip(banded, planes):
-            digest.update(rows.tobytes())
+    for band in band_planes(engine):
+        for z, digest in enumerate(banded):
+            digest.update(band[..., z].tobytes())
     for z in range(engine.d_max + 1):
         plane = engine.plane(z)
         if banded[z].digest() != hashlib.sha256(plane.tobytes()).digest():
@@ -129,7 +133,8 @@ def time_paths(engine, trusted, requests, repeats: int) -> dict:
     sizes = [rows.size for rows, _ in requests]
     store = np.empty((max(sizes, default=0), nz))
     paths = {
-        # Each plane or band is dropped as the next is made, as the matcher does.
+        # Each plane is dropped as the next is made, and each band overwrites
+        # the one before, as the matcher does.
         "plane": (lambda: sum(1 for _ in map(engine.plane, range(nz))),
                   engine.height * engine.width * nz),
         "band planes": (lambda: sum(1 for _ in band_planes(engine)),

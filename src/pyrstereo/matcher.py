@@ -17,8 +17,8 @@ re-selection one row behind, so a level holds the cost vectors of one
 band and the two rows above it at most, and of those only the vectors it
 computed, in a compact store.  A band asks the engine once, for its
 untrusted pixels' vectors and those of the trusted pixels the
-re-selection may read (planes, where it trusts nothing); the re-selection
-only reads the store.
+re-selection may read (every pixel's, written straight into the store,
+where it trusts nothing); the re-selection only reads the store.
 
 All maps are float64; disparities are integer-valued with NaN marking
 pixels that carry no usable value.  Public stages never mutate their
@@ -55,7 +55,8 @@ _REFINE_CHUNK = 4096
 # Full cost vectors one band of rows may hold (rows times width times
 # disparities), unless that is under _BAND_MIN_ROWS rows: the window kernel
 # recomputes the b-1 block rows a band shares with the band above, most of a
-# shorter band's rows.  Planes carry those rows' sums from a dense band instead.
+# shorter band's rows.  A dense band below a dense one reads those rows' sums
+# from the ring the engine's costs kernel carries instead.
 _BAND_ENTRIES = 1 << 19
 _BAND_MIN_ROWS = 16
 # Pixels per window call of the trusted selection, in whole rows (at least
@@ -342,8 +343,9 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     Band k is selected, then rows top-1 to top+band-2 refined, the rows
     whose low pixels' 3x3 neighbors are all selected (the last band
     refines to the level's last row).  Selection fills the untrusted
-    pixels of ``disparity`` and ``cost``, from planes over the band's rows
-    if none of them is trusted (a dense band), else from the window kernel.
+    pixels of ``disparity`` and ``cost``, from the engine's costs kernel
+    over the band's rows if none of them is trusted (a dense band), else
+    from the window kernel.
     Refine then overwrites the rows' low pixels from the stored vectors and
     the selected costs; it computes nothing.
 
@@ -353,10 +355,12 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     store, and a slot map over the rows in flight points each pixel at its
     row.  Refine reads one row above the rows it refines, so before band k
     the held vectors of rows top-2 and top-1 move to the store's top, and
-    the band's follow them: its planes if it is dense, else one
-    ``dsi_rows`` request for its untrusted pixels, then its trusted held
-    pixels.  Returns refine's counts, keyed by their LevelTrace fields,
-    and seconds.
+    the band's follow them.  A dense band's store rows, pixel-major, are
+    the costs kernel's output: it writes them in place, and a dense band
+    below a dense one continues from the kernel's ring of block-row sums.
+    Any other band makes one ``dsi_rows`` request, for its untrusted
+    pixels, then its trusted held pixels.  Returns refine's counts, keyed
+    by their LevelTrace fields, and seconds.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
     band = _band_rows(h, w, nz)
@@ -385,7 +389,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     def reselect(i, j):
         """Low pixels (i, j) take the best of their 3x3 neighbors' summed vectors.
 
-        A function, so its scratch is freed before the next band's planes.
+        A function, so its scratch is freed before the next band's costs.
         """
         for start in range(0, i.shape[0], chunk):
             ci, cj = i[start:start + chunk], j[start:start + chunk]
@@ -400,7 +404,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             cost[ci, cj] = summed[np.arange(ci.shape[0]), best] / members
 
     refined, requested, refine_seconds = 0, 0, 0.0
-    sums = None  # a dense band's block-row sums, shared with a dense band below
+    sums = None  # a dense band's ring of block-row sums, carried to a dense band below
     for k, top in enumerate(tops):
         bottom = min(top + band, h)
         # Rows top-2 and top-1 to the store's top, read at their old slots first.
@@ -414,11 +418,7 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
         fi += top
         if dense[k]:
             vectors = enter(fi, fj, start)
-            # One transposing copy: plane by plane touches each store row nz times.
-            planes = np.empty((nz, bottom - top, w))
-            sums = engine._planes(0, top, planes, sums)
-            vectors.reshape(bottom - top, w, nz)[...] = planes.transpose(1, 2, 0)
-            del planes
+            sums = engine._costs(0, top, vectors.reshape(bottom - top, w, nz), sums)
         else:
             ri, rj = np.nonzero(held[top:bottom] & trusted[top:bottom])
             ri += top
@@ -428,7 +428,8 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
             if i.size:
                 engine.dsi_rows(i, j, out=vectors)
             vectors = vectors[:fi.shape[0]]  # selection's part
-            sums = None
+        if not dense[k + 1:k + 2].any():
+            sums = None  # only a dense band below reads the ring: freed before refine
         best = np.argmax(vectors, axis=1)
         disparity[fi, fj] = best
         cost[fi, fj] = vectors[np.arange(fi.shape[0]), best]

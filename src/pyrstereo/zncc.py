@@ -22,14 +22,14 @@ columns on each side, so the padding alone applies the out-of-range rule:
 
 - planes (``plane``): every pixel at one disparity; a full search can
   take them one at a time and hold O(H*W) memory instead of the whole
-  volume.  One routine fills a run of disparities over a range of rows,
-  in passes of at most ``_PLANE_BAND`` entries: a tall range takes one
-  disparity per pass, a short one several.  A block row's sum is
-  computed once: the b-1 padded rows a range shares with the adjacent
-  range above arrive as that range's sums, and the range leaves its own
-  last b-1 for the range below.  ``plane`` walks the level so, and the
-  matcher's band pass takes a dense band's planes the same way, carrying
-  the sums from band to band;
+  volume.  One kernel fills a range of rows at a run of disparities,
+  pixel-major, (row, column, disparity), in passes of whole rows of at
+  most ``_PASS_ENTRIES`` entries.  A block row's sum is computed once:
+  the sums live in a ring of padded rows, and the b-1 a range shares
+  with the adjacent range above arrive in the ring that range returns.
+  ``plane`` is the kernel at one disparity over the whole level; the
+  matcher's band pass hands it a dense band's rows of its vector store,
+  every disparity at once, and carries the ring from band to band;
 - the window kernel (``window``): a sparse pixel set, each pixel at its
   own run of consecutive disparities; each distinct block row is
   correlated once across the run and shared by the vertically adjacent
@@ -85,9 +85,10 @@ _LONG_WINDOW = 12
 # How far a window may reach past [0, d_max] on either side: a
 # three-candidate window centred one step outside the range.
 _REACH = 2
-# Output entries per band of a plane (rows times width); bounds its
-# scratch memory to a few bands instead of a few planes.
-_PLANE_BAND = 65536
+# Output entries per pass of the costs kernel (rows times width times
+# disparities, at least one row); bounds its scratch and its ring of
+# block-row sums to a few passes instead of a few planes.
+_PASS_ENTRIES = 65536
 
 
 def is_integer(value) -> bool:
@@ -194,13 +195,13 @@ class CostEngine:
     left block.  The padded columns' deviation is 0 too, so a degenerate
     block on either side and a right block outside the image all make a
     zero deviation product, which the normalization turns into -1.
-    Planes read a run of disparities as one strided view of column windows
-    and carry block-row sums between adjacent row ranges, so no padded
-    row's products are computed twice along a level.  The window kernel
-    reads the same arrays flattened, by flat index.  The
-    paths share statistics, the order of the cross sums and the
-    normalization, so they return the same bits for the same
-    entry.
+    The costs kernel behind ``plane`` reads a run of disparities as strided
+    views of column windows, writes pixel-major, and carries block-row sums
+    between adjacent row ranges in a ring, so no padded row's products are
+    computed twice along a level.  The window kernel reads the same arrays
+    flattened, by flat index.  The paths share statistics, the order of
+    the cross sums and the normalization, so they return the same bits
+    for the same entry.
     """
 
     def __init__(self, left: np.ndarray, right: np.ndarray, block: int, d_max: int,
@@ -238,9 +239,10 @@ class CostEngine:
         self._mean_rz, self._sigma_rz = np.zeros((2, h, w + 2 * pad))
         self._mean_rz[:, pad:pad + w] = mean_r
         self._sigma_rz[:, pad:pad + w] = sigma_r
-        # Planes read these arrays as windows of columns: index s of a view is
-        # the columns from s on of every row, as wide as a plane reads them.
-        self._columns = tuple(sliding_window_view(a, n, axis=1).transpose(1, 0, 2)
+        # The costs kernel reads these arrays as windows of columns: index s
+        # of a view's last axis is the columns from s on of every row, as
+        # wide as a pixel's block rows or statistics reach.
+        self._columns = tuple(sliding_window_view(a, n, axis=1).transpose(0, 2, 1)
                               for a, n in ((self._rpz, self._lp.shape[1]),
                                            (self._mean_rz, self.width),
                                            (self._sigma_rz, self.width)))
@@ -275,7 +277,7 @@ class CostEngine:
     def plane(self, z: int) -> np.ndarray:
         """Costs of every pixel at one disparity.
 
-        The level is walked in passes of ``_PLANE_BAND // width`` rows, each
+        The level is walked in passes of ``_PASS_ENTRIES // width`` rows, each
         continuing from the block-row sums of the pass above.  Each entry
         adds the centred images' block products in the one order the window
         kernel uses, along each block row and then over the rows, so
@@ -284,69 +286,92 @@ class CostEngine:
         z = int(z)
         if not 0 <= z <= self.d_max:
             raise ValueError(f"disparity {z} outside [0, {self.d_max}]")
-        cost = np.empty((1, self.height, self.width))
-        self._planes(z, 0, cost)
-        return cost[0]
+        cost = np.empty((self.height, self.width, 1))
+        self._costs(z, 0, cost)
+        return cost[..., 0]
 
-    def _planes(self, z0: int, top: int, cost: np.ndarray, sums=None) -> np.ndarray:
-        """Planes z0..z0+g-1 over rows top..top+n-1 into ``cost``, shape (g, n, w).
+    def _costs(self, z0: int, top: int, out: np.ndarray, ring=None) -> np.ndarray:
+        """Costs at z0..z0+g-1 of rows top..top+n-1 into ``out``, shape (n, w, g).
 
         Block row r of a pixel in row i is padded row i+r, and its sum adds
-        the block's b products along the row in order t.  ``sums`` holds, per
-        disparity, the sums of padded rows top..top+b-2, the b-1 rows this
-        range shares with the adjacent range above; None computes them.  The
-        sums of the b-1 padded rows the range below shares are returned, in
-        ``sums`` itself when it is given.
+        the block's b products along the row in order t.  The sums live in
+        ``ring``, shape (R, w, g): padded row r at index r % R.  A ring
+        passed in holds padded rows top..top+b-2, the b-1 rows this range
+        shares with the adjacent range above; None makes a new one.  The
+        ring is returned holding the b-1 padded rows the range below shares,
+        so ranges that follow one another carry their sums and copy none.
 
-        Each pass holds at most ``_PLANE_BAND`` entries, rows times width
-        times disparities: passes of one disparity down a tall range,
-        several disparities over a short one.  A pass reads the right image
-        and statistics at its disparities as strided window views over
-        columns, so nothing is gathered.
+        A pass takes as many whole rows as keep it within ``_PASS_ENTRIES``
+        entries, at least one.  It reads its block rows in runs, in row
+        order: the rows the ring holds, then new ones computed into it, each
+        run cut where the ring wraps around.  A run adds into the output
+        rows that read it at every shift p it reaches, so each entry adds
+        its b block rows in order p whatever the runs.  A new ring holds a
+        pass's rows beside the b-1 carried ones; when a pass is shorter than
+        b-1 rows, it holds only those b-1, and the rows a pass computes take
+        the slots of rows it has read.  Disparity is the last axis of every
+        array, and the right image and statistics are read as strided views
+        of g columns, so nothing is gathered.
         """
-        g, n, w = cost.shape
+        n, w, g = out.shape
         b = self.block
-        rows = min(n, max(1, _PLANE_BAND // w))
-        run = max(1, _PLANE_BAND // (rows * w))
-        carried = sums is not None
-        if not carried:
-            sums = np.empty((g, b - 1, w))
-        for k0 in range(0, g, run):
-            k1 = min(k0 + run, g)
-            # Index k of each view is disparity z0+k0+k: the views' columns
+        m = min(n, max(1, _PASS_ENTRIES // (w * g)))
+        if ring is None:
+            ring = np.empty((m + b - 1 if m >= b - 1 else b - 1, w, g))
+            done = top  # the first padded row without a sum in the ring
+        else:
+            done = top + b - 1
+        size = ring.shape[0]
+        s = self._right_start(z0, g)
+        if g == 1:
+            # On 2-D arrays: a trailing axis of one entry slows every op.  A
+            # plane's passes are tall, so it computes a run's products at
+            # once: the b-1 rows beside a pass add little scratch, while
+            # computing them apart takes a dozen more small ops a plane.
+            cells, sums, chunk = out[..., 0], ring[..., 0], size
+            right, mean_r, sigma_r = (v[..., s] for v in self._columns)
+            left, mean_l, sigma_l = self._lp, self.mean_l, self.sigma_l
+        else:
+            cells, sums, chunk = out, ring, m
+            # Index k of each view is disparity z0+k: the window's columns
             # run against the disparities under the Middlebury sign.
-            s = self._right_start(z0 + k0, k1 - k0)
-            right, mean_r, sigma_r = (v[s:s + k1 - k0] for v in self._columns)
-            if self.sign == SIGN_MIDDLEBURY:
-                right, mean_r, sigma_r = right[::-1], mean_r[::-1], sigma_r[::-1]
-            for i0 in range(top, top + n, rows):
-                m = min(rows, top + n - i0)
-                # Block-row sums of padded rows i0..i0+m+b-2; the first b-1
-                # come from the pass above when there is one.
-                rsum = np.empty((k1 - k0, m + b - 1, w))
-                kept = b - 1 if carried or i0 > top else 0
-                rsum[:, :kept] = sums[k0:k1, :kept]
-                # The other rows' products, summed along the row: b column
-                # shifts, in order t.
-                padded = np.s_[i0 + kept:i0 + m + b - 1]
-                prod = self._lp[padded] * right[:, padded]
-                fresh = rsum[:, kept:]
-                np.copyto(fresh, prod[..., :w])
-                for t in range(1, b):
-                    fresh += prod[..., t:t + w]
-                del prod, fresh  # the view would keep rsum alive past its del
-                sums[k0:k1] = rsum[:, m:]
-                # Over the block: b row shifts, in order p.
-                cross = cost[k0:k1, i0 - top:i0 - top + m]
-                np.copyto(cross, rsum[:, :m])
-                for p in range(1, b):
-                    cross += rsum[:, p:p + m]
-                del rsum
-                band = np.s_[i0:i0 + m]
-                self._normalize(cross, self.mean_l[band], mean_r[:, band],
-                                self.sigma_l[band], sigma_r[:, band])
-        self.count += g * n * w
-        return sums
+            step = -1 if self.sign == SIGN_MIDDLEBURY else 1
+            right, mean_r, sigma_r = (v[..., s:s + g][..., ::step] for v in self._columns)
+            left, mean_l, sigma_l = (a[..., np.newaxis]
+                                     for a in (self._lp, self.mean_l, self.sigma_l))
+        for i0 in range(top, top + n, m):
+            end = min(i0 + m, top + n)
+            cross = cells[i0 - top:end - top]
+            # Runs of padded rows i0..end+b-2, in order: the ring's, then the
+            # new ones, each cut where the ring wraps around.
+            wraps = range((i0 // size + 1) * size, end + b - 1, size)
+            stops = sorted({done, end + b - 1, *wraps})
+            for r0, r1 in zip([i0, *stops], stops):
+                base = r0 - r0 % size  # row r of the run is at ring index r-base
+                # New rows, ``chunk`` at a time: the products summed along
+                # the row, b column shifts in order t.
+                for c0 in range(max(r0, done), r1, chunk):
+                    c1 = min(c0 + chunk, r1)
+                    prod = left[c0:c1] * right[c0:c1]
+                    fresh = sums[c0 - base:c1 - base]
+                    np.copyto(fresh, prod[:, :w])
+                    for t in range(1, b):
+                        fresh += prod[:, t:t + w]
+                    del prod
+                # Row r is block row p = r-i of output rows i: each run adds
+                # at every shift p it reaches, in order.
+                for p in range(max(0, r0 - end + 1), min(b, r1 - i0)):
+                    lo, hi = max(i0, r0 - p), min(end, r1 - p)
+                    rows = cross[lo - i0:hi - i0]
+                    if p:
+                        rows += sums[lo + p - base:hi + p - base]
+                    else:
+                        np.copyto(rows, sums[lo - base:hi - base])
+            done = end + b - 1
+            band = np.s_[i0:end]
+            self._normalize(cross, mean_l[band], mean_r[band], sigma_l[band], sigma_r[band])
+        self.count += n * w * g
+        return ring
 
     def window(self, rows: np.ndarray, cols: np.ndarray, z0, nz: int,
                out: np.ndarray | None = None) -> np.ndarray:

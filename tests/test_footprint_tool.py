@@ -53,11 +53,11 @@ def test_footprint_runs_at_a_tiny_size(tmp_path):
 # is over twice block matching's is an open defect, kept visible by a
 # strict xfail with the ratio it measured, so the fix that mends it must
 # flip it.
-_OVER = {("88x128x12", "noise"): "3.68x: a whole-level dense band and its planes copy",
-         ("48x480x32", "layered"): "5.16x: one level, one band holds the whole volume twice",
-         ("48x480x32", "noise"): "5.16x: one level, one band holds the whole volume twice",
-         ("72x96x56", "layered"): "8.89x: one level, one band holds the whole volume twice",
-         ("72x96x56", "noise"): "8.88x: one level, one band holds the whole volume twice"}
+_OVER = {("88x128x12", "noise"): "2.81x: a whole-level dense band's store and its ring",
+         ("48x480x32", "layered"): "3.32x: one level, one band stores the whole volume",
+         ("48x480x32", "noise"): "3.39x: one level, one band stores the whole volume",
+         ("72x96x56", "layered"): "5.52x: one level, one band stores the whole volume",
+         ("72x96x56", "noise"): "5.52x: one level, one band stores the whole volume"}
 _GRID = [pytest.param(size, pair, marks=[pytest.mark.xfail(reason=_OVER[size, pair],
                                                            strict=True)]
                       if (size, pair) in _OVER else [])

@@ -564,12 +564,13 @@ def test_untrusted_level_holds_band_plus_two_rows_of_vectors():
         matcher._band_pass(engine, disparity, cost, untrusted, 0.9)[0]))
     assert counts[0]["refined"] > 0.9 * h * w  # refine's scratch is at its largest
     row = w * nz * 8
-    # The store's band+2 rows, one band of planes before their copy, the
-    # b-1 rows of block-row sums carried between bands, and the pass
-    # scratch.  Three whole bands of vectors took 19.2 MiB here, against
-    # 11.5 MiB allowed.
-    scratch = 6 * pyrstereo.zncc._PLANE_BAND * 8
-    assert peak < (band + 2 + band + block - 1) * row + scratch
+    # The store's band+2 rows, which the costs kernel fills in place, its
+    # ring of block-row sums (b-1 rows carried between bands and one pass's
+    # rows), and the pass scratch.  Three whole bands of vectors took 19.2
+    # MiB here; a band of planes beside the store took 172 rows.
+    ring = max(1, pyrstereo.zncc._PASS_ENTRIES // (w * nz)) + block - 1
+    scratch = 6 * pyrstereo.zncc._PASS_ENTRIES * 8
+    assert peak < (band + 2 + ring) * row + scratch
 
 
 def test_mixed_level_holds_band_plus_two_rows_of_vectors():

@@ -230,28 +230,30 @@ def _plane_splits(draw):
 @settings(max_examples=60, deadline=None)
 @given(_plane_splits())
 def test_planes_in_any_split_match_plane_and_naive_costs(split):
-    # Ranges shorter than the b-1 rows they carry, several disparities per
-    # pass, and runs that are no multiple of a pass's disparity count.
+    # The costs kernel over each run of disparities, pixel-major, range by
+    # range: ranges shorter than the b-1 rows they carry, passes of one row
+    # or more (rings of b-1 rows, or a pass's rows beside them), and runs
+    # written into strided views of one volume.
     left, right, block, d_max, sign, tops, starts, entries = split
     height, width = left.shape
     engine = CostEngine(left, right, block=block, d_max=d_max, sign=sign)
-    got = np.empty((d_max + 1, height, width))
+    got = np.empty((height, width, d_max + 1))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("pyrstereo.zncc._PLANE_BAND", entries)
+        patch.setattr("pyrstereo.zncc._PASS_ENTRIES", entries)
         for z0, z1 in zip(starts, starts[1:]):
-            sums = None
+            ring = None
             for top, bottom in zip(tops, tops[1:]):
-                carried = sums
-                sums = engine._planes(z0, top, got[z0:z1, top:bottom], sums)
-                assert sums.shape == (z1 - z0, block - 1, width)
-                assert carried is None or sums is carried  # updated in place
+                carried = ring
+                ring = engine._costs(z0, top, got[top:bottom, :, z0:z1], ring)
+                assert ring.shape[1:] == (width, z1 - z0) and ring.shape[0] >= block - 1
+                assert carried is None or ring is carried  # carried, not copied
     assert engine.count == got.size
     for z in range(d_max + 1):
-        np.testing.assert_array_equal(got[z], engine.plane(z))
+        np.testing.assert_array_equal(got[..., z], engine.plane(z))
         for i in range(height):
             for j in range(width):
                 expected = naive_cost(left, right, i, j, z, block // 2, sign=sign)
-                assert abs(got[z, i, j] - expected) <= 1e-9
+                assert abs(got[i, j, z] - expected) <= 1e-9
 
 
 @st.composite
