@@ -9,11 +9,11 @@ size (height x width x d_max) one layered scene is matched by
 paths are then timed on that engine, one after the other in each repeat:
 
 - ``plane``: every plane 0..d_max;
-- ``band planes``: every entry again, as the band pass computes a band of
-  rows when none of its pixels is trusted: the costs kernel fills the
-  band's (rows, width, d_max+1) store rows pixel-major, in place, and
-  each band continues from the ring of block-row sums the band above
-  returned;
+- ``band planes``: every entry again, as the band pass computes a level
+  that trusts no pixel: in bands of the height it gives such a level
+  (no 16-row floor), the costs kernel fills each band's (rows, width,
+  d_max+1) store rows pixel-major, in place, and each band continues
+  from the ring of block-row sums the band above returned;
 - ``window nz=3``: the trusted three-candidate windows that ``run_pipeline``
   asks for at level 0, in the same row ranges, one ``window`` call each;
 - ``dsi_rows``: the band pass's full-vector requests, one ``dsi_rows``
@@ -88,10 +88,11 @@ def band_planes(engine):
     """Every entry, one band pass band of rows at a time: yields (rows, w, nz) arrays.
 
     The bands are as tall as the band pass makes them on this engine's
-    level, and each is written into one reused buffer, as into the store.
+    level where it trusts no pixel, and each is written into one reused
+    buffer, as into the store.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
-    band = matcher._band_rows(h, w, nz)
+    band = matcher._band_rows(h, w, nz, 2)  # a level that trusts nothing
     store = np.empty((band, w, nz))
     sums = None
     for top in range(0, h, band):

@@ -49,15 +49,18 @@ __all__ = [
 ]
 
 
-# Low-cost pixels whose neighbor sums or median windows are held at a time,
-# on a level of h*w pixels level_budget(_REFINE_CHUNK, h * w, 1 / 16).
+# Low-cost pixels whose median windows are held at a time, on a level of
+# h*w pixels level_budget(_REFINE_CHUNK, h * w, 1 / 16).  Refine's neighbor
+# sums hold as many entries as that many 16-disparity vectors: at nz
+# disparities level_budget(16 * _REFINE_CHUNK // nz, h * w, 1 / 16) pixels.
 _REFINE_CHUNK = 4096
 # Full cost vectors one band of rows may hold (rows times width times
-# disparities), unless that is under _BAND_MIN_ROWS rows: the window kernel
-# recomputes the b-1 block rows a band shares with the band above, most of a
-# shorter band's rows.  A dense band below a dense one reads those rows' sums
-# from the ring the engine's costs kernel carries instead.
-_BAND_ENTRIES = 1 << 19
+# disparities), unless that is under _BAND_MIN_ROWS rows on a level with a
+# trusted pixel: the window kernel recomputes the b-1 block rows a band
+# shares with the band above, most of a shorter band's rows.  A level that
+# trusts nothing is dense bands only, and a dense band below a dense one
+# reads those rows' sums from the ring the engine's costs kernel carries.
+_BAND_ENTRIES = 1 << 18
 _BAND_MIN_ROWS = 16
 # Pixels per window call of the trusted selection, in whole rows (at least
 # one); bounds the call's per-pixel arrays to a fraction of a level's maps,
@@ -316,13 +319,15 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, above: np.ndarray,
         fallback_low_prior=n_finite - n_confident, fallback_out_of_range=n_confident - n)
 
 
-def _band_rows(height: int, width: int, nz: int) -> int:
+def _band_rows(height: int, width: int, nz: int, floor: int) -> int:
     """Rows per band of the band pass on a level of this size and nz disparities.
 
-    At least two where the level has two rows: refine trails selection by
-    one row, and a band's rows must cover that halo row and the next.
+    At least ``floor``, and two where the level has two rows: refine trails
+    selection by one row, and a band's rows must cover that halo row and
+    the next.  The band pass passes ``_BAND_MIN_ROWS`` where the level
+    trusts a pixel, else 2.
     """
-    return min(height, max(2, _BAND_MIN_ROWS, _BAND_ENTRIES // (width * nz)))
+    return min(height, max(2, floor, _BAND_ENTRIES // (width * nz)))
 
 
 def _dilate3(mask: np.ndarray) -> np.ndarray:
@@ -363,8 +368,8 @@ def _band_pass(engine: CostEngine, disparity: np.ndarray, cost: np.ndarray,
     by their LevelTrace fields, and seconds.
     """
     h, w, nz = engine.height, engine.width, engine.d_max + 1
-    band = _band_rows(h, w, nz)
-    chunk = level_budget(_REFINE_CHUNK, h * w, 1 / 16)
+    band = _band_rows(h, w, nz, _BAND_MIN_ROWS if trusted.any() else 2)
+    chunk = level_budget(16 * _REFINE_CHUNK // nz, h * w, 1 / 16)
     slots = min(2 * band, h)
     held = ~trusted  # and the trusted pixels within 3x3 of one that may be low
     np.less_equal(cost, alpha, out=held, where=trusted)

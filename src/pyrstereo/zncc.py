@@ -9,16 +9,17 @@ over an odd (2n+1)x(2n+1) block of m pixels, where sigma is the root mean
 squared deviation of the block.  The value lives in [-1, 1] and is clamped
 there after roundoff.  Blocks always have full size thanks to replicate
 padding.  An entry costs the floor of -1 instead of a correlation when
-its product of deviations is zero: a degenerate block on either side, whose
-deviation below ``SIGMA_EPS`` is set to exactly 0 where the statistics are
+its product of deviations is NaN: a degenerate block on either side, whose
+deviation below ``SIGMA_EPS`` is stored as NaN where the statistics are
 made, or a right-block center that falls outside the image for the
-requested disparity, where the padding's deviation is 0.
+requested disparity, where the padding's deviation is NaN.
 
 :class:`CostEngine` evaluates these costs for one level of one run, in one
 thread.  It adds every (pixel, disparity) entry it computes to the integer
 ``count``, the basis of all complexity accounting downstream.  It has two
-evaluation paths, and both read one right image zero-padded by d_max+2
-columns on each side, so the padding alone applies the out-of-range rule:
+evaluation paths, and both read one right image and its statistics padded
+by d_max+2 columns on each side, deviation NaN there, so the padding alone
+applies the out-of-range rule:
 
 - planes (``plane``): every pixel at one disparity; a full search can
   take them one at a time and hold O(H*W) memory instead of the whole
@@ -66,7 +67,7 @@ SIGN_MIDDLEBURY = "middlebury"
 SIGN_PAPER_PLUS = "paper"
 
 # Blocks whose deviation falls below this are degenerate: their deviation
-# is stored as 0, and every entry with a zero deviation costs -1.
+# is stored as NaN, and every entry with a NaN deviation costs -1.
 SIGMA_EPS = 1e-6
 
 # Entries one pass of the window kernel gathers: b left and nz+b-1 right
@@ -171,13 +172,14 @@ def _running_sums(x: np.ndarray, out: np.ndarray, block: int, axis: int) -> np.n
     sums[0] = 0.0
     for t in range(-half, half + 1):
         sums[0] += x[min(max(t, 0), n - 1)]
-    # Sum k takes in sample min(k + half, n - 1) and drops max(k - 1 - half, 0).
-    clipped = max(1, n - half)
-    sums[1:clipped] = x[1 + half:clipped + half]
-    sums[clipped:] = x[n - 1]
-    inside = min(half + 2, n)
-    sums[1:inside] -= x[0]
-    sums[inside:] -= x[inside - 1 - half:n - 1 - half]
+    # Sum k takes in sample min(k + half, n - 1) and drops max(k - 1 - half, 0):
+    # one subtraction per segment where neither end changes its clipping.
+    clipped, inside = max(1, n - half), min(half + 2, n)
+    bounds = sorted({1, clipped, inside, n})
+    for a, b in zip(bounds, bounds[1:]):
+        entering = x[a + half:b + half] if a < clipped else x[n - 1]
+        leaving = x[0] if a < inside else x[a - 1 - half:b - 1 - half]
+        np.subtract(entering, leaving, out=sums[a:b])
     sums.cumsum(axis=0, out=sums)  # in order along the axis
     return out
 
@@ -187,14 +189,14 @@ class CostEngine:
 
     Both images are centred by one shared offset, then block means and
     deviations are precomputed once per image with box filters under
-    replicate borders.  The right image and its statistics are zero-padded
+    replicate borders.  The right image and its statistics are padded
     once by d_max+2 columns on each side, and both evaluation paths (planes
     and the row-shared window kernel) read column slices of these padded
     arrays.  Degeneracy is decided once, in ``_stats``: a deviation below
-    ``SIGMA_EPS`` is stored as 0, so ``sigma_l`` reads 0 at a degenerate
-    left block.  The padded columns' deviation is 0 too, so a degenerate
+    ``SIGMA_EPS`` is stored as NaN, so ``sigma_l`` reads NaN at a degenerate
+    left block.  The padded columns' deviation is NaN too, so a degenerate
     block on either side and a right block outside the image all make a
-    zero deviation product, which the normalization turns into -1.
+    NaN deviation product, which the normalization's clamp turns into -1.
     The costs kernel behind ``plane`` reads a run of disparities as strided
     views of column windows, writes pixel-major, and carries block-row sums
     between adjacent row ranges in a ring, so no padded row's products are
@@ -225,18 +227,20 @@ class CostEngine:
         self.sign = sign
         self.count = 0  # entries computed so far
 
-        # The right image and its statistics carry d_max+_REACH zero columns
+        # The right image and its statistics carry d_max+_REACH added columns
         # on both sides, so a window at any legal disparity reads in bounds;
-        # the added columns' deviation is 0, which applies the out-of-range
-        # rule.  Each image is centred straight into its padded array, and
-        # its statistics read it there: no centred copy is made.
+        # the image and mean there are 0 and the deviation NaN, which
+        # applies the out-of-range rule.  Each image is centred straight
+        # into its padded array, and its statistics read it there: no
+        # centred copy is made.
         pad = self._pad = self.d_max + _REACH
         self._lp = _centred_padded(left, offset, half, 0)
         self.mean_l, self.sigma_l = self._stats(self._lp[half:half + h, half:half + w])
         self._rpz = _centred_padded(right, offset, half, pad)
         mean_r, sigma_r = self._stats(self._rpz[half:half + h, pad + half:pad + half + w])
         # Allocated after the statistics, whose box filter needs scratch.
-        self._mean_rz, self._sigma_rz = np.zeros((2, h, w + 2 * pad))
+        self._mean_rz = np.zeros((h, w + 2 * pad))
+        self._sigma_rz = np.full((h, w + 2 * pad), np.nan)
         self._mean_rz[:, pad:pad + w] = mean_r
         self._sigma_rz[:, pad:pad + w] = sigma_r
         # The costs kernel reads these arrays as windows of columns: index s
@@ -248,7 +252,7 @@ class CostEngine:
                                            (self._sigma_rz, self.width)))
 
     def _stats(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Block means and deviations, a degenerate block's deviation 0.
+        """Block means and deviations, a degenerate block's deviation NaN.
 
         The image and its square are box-filtered as one stack, and the
         deviation sqrt(max(mean_sq - mean^2, 0)) is made in place of the
@@ -261,7 +265,7 @@ class CostEngine:
         sigma -= mean * mean
         np.maximum(sigma, 0.0, out=sigma)
         np.sqrt(sigma, out=sigma)
-        np.copyto(sigma, 0.0, where=~(sigma >= SIGMA_EPS))  # a NaN deviation too
+        np.copyto(sigma, np.nan, where=sigma < SIGMA_EPS)
         return mean, sigma
 
     def _right_start(self, z0, nz: int = 1):
@@ -550,16 +554,19 @@ class CostEngine:
         return cross
 
     def _normalize(self, cross, mean_l, mean_r, sigma_l, sigma_r) -> None:
-        """ZNCC from block cross sums, in place: -1 where a deviation is 0."""
+        """ZNCC from block cross sums, in place: -1 where a deviation is NaN.
+
+        A NaN deviation makes the quotient NaN, which ``minimum`` keeps and
+        ``fmax`` replaces by the floor, so the clamp to [-1, 1] applies the
+        degeneracy rule too.
+        """
         cross /= self.area
         scale = mean_l * mean_r
         cross -= scale
         np.multiply(sigma_l, sigma_r, out=scale)
-        bad = scale == 0.0
-        np.copyto(scale, 1.0, where=bad)
         cross /= scale
-        np.clip(cross, -1.0, 1.0, out=cross)
-        np.copyto(cross, -1.0, where=bad)
+        np.minimum(cross, 1.0, out=cross)
+        np.fmax(cross, -1.0, out=cross)
 
     def dsi_rows(self, rows: np.ndarray, cols: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:

@@ -365,9 +365,8 @@ def test_band_pass_equals_stages_at_any_band_height(inputs):
 
 def test_band_rows_floor_is_two_rows(monkeypatch):
     """Refine trails selection by one row, so a band spans two rows where a level has them."""
-    monkeypatch.setattr(matcher, "_BAND_MIN_ROWS", 1)
     monkeypatch.setattr(matcher, "_BAND_ENTRIES", 1)
-    assert [matcher._band_rows(h, 40, 13) for h in (1, 2, 7)] == [1, 2, 2]
+    assert [matcher._band_rows(h, 40, 13, 1) for h in (1, 2, 7)] == [1, 2, 2]
 
 
 def _handoff_level(pattern, band):
@@ -506,8 +505,10 @@ def test_untrusted_pair_peak_stays_near_block_matching():
     # took eight times the baseline, and three bands of vectors in flight
     # 2.36 times; two, with dense bands in one region of band+2 rows, 1.79
     # times.  With each engine freed before its median and coarse levels
-    # owning their pixels, the level-0 band pass peaks at 1.60 times.
-    assert peak < 1.75 * bm_peak
+    # owning their pixels, the level-0 band pass peaked at 1.60 times, and
+    # at 1.54 with its planes written in place; at 1.19 with dense levels in
+    # short bands and refine's chunk counted in entries.
+    assert peak < 1.3 * bm_peak
 
 
 def test_layered_pair_peak_within_twice_block_matching():
@@ -525,7 +526,7 @@ def test_layered_pair_peak_within_twice_block_matching():
     assert peak < 1.3 * bm_peak
 
 
-def test_band_store_scales_with_vectors_held():
+def test_band_store_scales_with_vectors_held(monkeypatch):
     """The band pass holds the vectors it computes, not whole bands of them."""
     rng = np.random.default_rng(40)
     h, w, d_max = 200, 240, 32
@@ -540,13 +541,19 @@ def test_band_store_scales_with_vectors_held():
     assert 0.03 < np.mean(~trusted) < 0.07
     # Untrusted pixels, and trusted ones within 3x3 of one that may be low.
     held = np.count_nonzero(binary_dilation(~trusted | (cost <= 0.9), _NEIGHBORS))
-    ring = 3 * matcher._band_rows(h, w, nz) * w * nz * 8
-    peak = _traced_peak(lambda: matcher._band_pass(engine, disparity, cost, trusted, 0.9))
     # The store, one request's vectors on their way in and refine's neighbor
-    # sums.
-    bound = 2 * held * nz * 8 + 2 * matcher._REFINE_CHUNK * nz * 8
-    assert bound < ring / 2
-    assert peak < bound
+    # sums, one chunk of them.
+    chunk = level_budget(16 * matcher._REFINE_CHUNK // nz, h * w, 1 / 16)
+    bound = 2 * held * nz * 8 + 2 * chunk * nz * 8
+    volume = h * w * nz * 8
+    assert bound < volume / 3
+    # The default bands, and one band of the whole level, whose store would
+    # be the volume if it held whole bands.
+    for budget in (matcher._BAND_ENTRIES, h * w * nz):
+        monkeypatch.setattr(matcher, "_BAND_ENTRIES", budget)
+        maps = disparity.copy(), cost.copy()  # the pass refines them in place
+        peak = _traced_peak(lambda: matcher._band_pass(engine, *maps, trusted, 0.9))
+        assert peak < bound
 
 
 def test_untrusted_level_holds_band_plus_two_rows_of_vectors():
@@ -555,7 +562,7 @@ def test_untrusted_level_holds_band_plus_two_rows_of_vectors():
     h, w, d_max, block = 200, 240, 32, 7
     nz = d_max + 1
     engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=block, d_max=d_max)
-    band = matcher._band_rows(h, w, nz)
+    band = matcher._band_rows(h, w, nz, 2)  # a level that trusts nothing
     assert h % band and h // band > 2  # dense bands below dense ones, a short last band
     disparity, cost = np.empty((h, w)), np.empty((h, w))
     untrusted = np.zeros((h, w), dtype=bool)
@@ -579,7 +586,7 @@ def test_mixed_level_holds_band_plus_two_rows_of_vectors():
     h, w, d_max, block = 200, 240, 32, 7
     nz = d_max + 1
     engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=block, d_max=d_max)
-    band = matcher._band_rows(h, w, nz)
+    band = matcher._band_rows(h, w, nz, matcher._BAND_MIN_ROWS)
     trusted = np.zeros((h, w), dtype=bool)
     trusted[::band, w // 2] = True  # every band is mixed, and nearly all held
     disparity, cost = np.zeros((h, w)), np.ones((h, w))
@@ -601,17 +608,41 @@ def test_refine_peak_is_one_vector_store(monkeypatch):
     cost = np.zeros((h, w))  # every pixel is low, so every vector is needed
     store = h * w * (d_max + 1) * 8
     scratch = 4 * matcher._REFINE_CHUNK * (d_max + 1) * 8
-    # The default band, nearly a third of the level here, and 8-row bands.
+    # The default band, a sixth of the level here, and 8-row bands.
     monkeypatch.setattr(matcher, "_BAND_MIN_ROWS", 1)
     for budget in (matcher._BAND_ENTRIES, 8 * w * (d_max + 1)):
         monkeypatch.setattr(matcher, "_BAND_ENTRIES", budget)
-        slab = matcher._band_rows(h, w, d_max + 1) * w * (d_max + 1) * 8
+        slab = matcher._band_rows(h, w, d_max + 1, 1) * w * (d_max + 1) * 8
         peak = _traced_peak(lambda: refine_level(engine, disparity, cost, alpha=0.9))
         # Summing all neighbors at once held four such stores.
         assert peak < 2 * store
         # The store's band and two rows, and scratch.  Two bands of vectors,
         # one per arena, took 1.95 slabs above the scratch.
         assert peak < 1.5 * slab + scratch
+
+
+def test_refine_scratch_is_counted_in_entries():
+    """Refine's neighbor sums hold about 16 * _REFINE_CHUNK entries whatever d_max.
+
+    What refine adds to the band pass's peak is the peak with every pixel
+    low, less the peak with none low.  A chunk of _REFINE_CHUNK pixels held
+    two arrays of _REFINE_CHUNK * (d_max+1) entries and added 7.7 MiB here.
+    """
+    rng = np.random.default_rng(44)
+    h, w, d_max = 256, 256, 128  # a level of 65,536 pixels: the cap, not its share, binds
+    engine = CostEngine(rng.random((h, w)), rng.random((h, w)), block=5, d_max=d_max)
+    untrusted = np.zeros((h, w), dtype=bool)
+    peaks = {}
+    for alpha in (-2.0, 1.0):  # no cost is at most -2, and every cost at most 1
+        maps = np.empty((h, w)), np.empty((h, w))
+        peaks[alpha] = _traced_peak(
+            lambda: matcher._band_pass(engine, *maps, untrusted, alpha))
+        assert np.count_nonzero(maps[1] <= alpha) == (h * w if alpha > 0 else 0)
+    entries = 16 * matcher._REFINE_CHUNK
+    assert entries < 0.2 * matcher._REFINE_CHUNK * (d_max + 1)
+    # The summed and the gathered neighbor vectors; a band's low pixels'
+    # indices and per-pixel arrays fit beside the selection's scratch.
+    assert peaks[1.0] - peaks[-2.0] < 2 * entries * 8
 
 
 def test_package_exports_matcher_api():

@@ -35,11 +35,11 @@ def test_block_statistics_are_uniform_filter(img, block):
     means = zncc._box_means(np.stack([img, img[::-1, ::-1] * 3.0]), block)
     assert_same_bits(means[0], ndimage_box_mean(img, block))
     assert_same_bits(means[1], ndimage_box_mean(img[::-1, ::-1] * 3.0, block))
-    # The deviation made in place of the mean squares, degenerate blocks 0.
+    # The deviation made in place of the mean squares, degenerate blocks NaN.
     mean, sigma = CostEngine(img, img, block, 0)._stats(img)
     want = np.sqrt(np.maximum(ndimage_box_mean(img * img, block) - mean * mean, 0.0))
     assert_same_bits(mean, ndimage_box_mean(img, block))
-    assert_same_bits(sigma, np.where(want >= SIGMA_EPS, want, 0.0))
+    assert_same_bits(sigma, np.where(want >= SIGMA_EPS, want, np.nan))
 
 
 @settings(max_examples=150, deadline=None)
