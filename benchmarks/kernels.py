@@ -65,9 +65,10 @@ def level0_requests(scene, config):
     seen, asked = [], []
     select, dsi_rows = matcher._select_trusted, CostEngine.dsi_rows
 
-    def recording(engine, d_hat, above):
-        result = select(engine, d_hat, above)
-        seen.append((engine, d_hat, result[2]))
+    def recording(engine, d_hat, c_hat, beta):
+        prior = d_hat.copy()  # selection writes its picks into d_hat
+        result = select(engine, d_hat, c_hat, beta)
+        seen.append((engine, prior, result[2]))
         return result
 
     def asking(engine, rows, cols, out=None):
@@ -79,8 +80,8 @@ def level0_requests(scene, config):
         run_pipeline(scene.left, scene.right, config)
     finally:
         matcher._select_trusted, CostEngine.dsi_rows = select, dsi_rows
-    engine, d_hat, trusted = seen[-1]  # level 0 is matched last
-    return (engine, list(matcher._trusted_windows(trusted, d_hat)),
+    engine, prior, trusted = seen[-1]  # level 0 is matched last
+    return (engine, list(matcher._trusted_windows(trusted, prior)),
             [(rows, cols) for asker, rows, cols in asked if asker is engine])
 
 

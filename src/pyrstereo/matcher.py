@@ -22,7 +22,9 @@ where it trusts nothing); the re-selection only reads the store.
 
 All maps are float64; disparities are integer-valued with NaN marking
 pixels that carry no usable value.  Public stages never mutate their
-inputs; inside ``run_pipeline`` the band pass refines a level's maps in place.
+inputs; inside ``run_pipeline`` the trusted selection writes into the
+upsampled prior's buffers, which become the level's maps, and the band
+pass fills and refines those maps in place.
 """
 
 from __future__ import annotations
@@ -276,27 +278,28 @@ def _trusted_windows(trusted: np.ndarray, d_hat: np.ndarray):
         yield ti, tj, d_hat[ti, tj].astype(np.intp) - 1
 
 
-def _select_trusted(engine: CostEngine, d_hat: np.ndarray, above: np.ndarray,
+def _select_trusted(engine: CostEngine, d_hat: np.ndarray, c_hat: np.ndarray, beta: float,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Maps set at the trusted pixels, by window calls over row ranges; the mask; the counts.
+    """The prior's maps, set at the trusted pixels by window calls; the mask; the counts.
 
-    ``above`` marks the pixels whose prior cost exceeds ``beta``, so the
-    caller can free the cost map first.  Such a pixel is searched at
-    {d_hat-1, d_hat, d_hat+1} within [0, d_max], a tie keeping the smaller
-    disparity.  The rest, a NaN prior's too, are left to the band pass.
+    Consumes the prior: ``d_hat`` and ``c_hat`` become the level's
+    disparity and cost maps, written in place.  A pixel whose prior cost
+    exceeds ``beta`` is searched at {d_hat-1, d_hat, d_hat+1} within
+    [0, d_max], a tie keeping the smaller disparity; a row range's window
+    starts are read before its picks are written.  The rest, a NaN
+    prior's too, keep their prior values for the band pass to overwrite.
     The counts are keyed by their LevelTrace fields.
     """
     h, w, d_max = engine.height, engine.width, engine.d_max
-    if d_hat.shape != (h, w) or above.shape != (h, w):
+    if d_hat.shape != (h, w) or c_hat.shape != (h, w):
         raise ValueError("prior maps must match the level dimensions")
     finite = np.isfinite(d_hat)
-    confident = finite & above
+    confident = finite & (c_hat > beta)
     # The window around int(d_hat) holds a legal candidate: -1 <= int(d_hat) <= d_max+1.
     trusted = confident & (d_hat > -2) & (d_hat < d_max + 2)
     n, n_finite, n_confident = (int(np.count_nonzero(m)) for m in (trusted, finite, confident))
     del finite, confident
 
-    disparity, cost = np.empty((h, w)), np.empty((h, w))
     window_max, before = 0, engine.count
     for ti, tj, z0 in _trusted_windows(trusted, d_hat):
         costs = engine.window(ti, tj, z0, 3)
@@ -309,11 +312,11 @@ def _select_trusted(engine: CostEngine, d_hat: np.ndarray, above: np.ndarray,
             better = (costs[:, k] > best) & (z0 + k >= 0) & (z0 + k <= d_max)
             np.copyto(best, costs[:, k], where=better)
             np.copyto(pick, k, where=better)
-        disparity[ti, tj] = z0 + pick
-        cost[ti, tj] = best
+        d_hat[ti, tj] = z0 + pick
+        c_hat[ti, tj] = best
         legal = np.minimum(z0 + 2, d_max) - np.maximum(z0, 0) + 1
         window_max = max(window_max, int(legal.max(initial=0)))
-    return disparity, cost, trusted, dict(
+    return d_hat, c_hat, trusted, dict(
         trusted=n, trusted_evals=engine.count - before, trusted_window_max=window_max,
         full_search_pixels=h * w - n, fallback_nan_prior=h * w - n_finite,
         fallback_low_prior=n_finite - n_confident, fallback_out_of_range=n_confident - n)
@@ -502,36 +505,37 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: MatchConfig,
 
     Builds the pyramid, then matches each level from the coarsest down to
     level 0, each one around the upsampled result of the level before it
-    (the coarsest has no prior).  Each level builds its own engine and
-    drops it, with the trusted mask, once its band pass is done: the
-    median repair reads the maps only, and no two levels' engines are ever
-    held at once.  Returns the level-0 maps and the complete trace of
+    (the coarsest around a NaN prior, which trusts nothing).  The prior's
+    maps become the level's, and each level is taken off the pyramid as it
+    is matched, so a matched level's images are dropped.  Each level builds
+    its own engine and drops it, with the trusted mask, once its band pass
+    is done: the median repair reads the maps only, and no two levels'
+    engines are ever held at once.  Returns the level-0 maps and the complete trace of
     evaluation counters and stage timings.
     """
     t_start = time.perf_counter()
-    pyramid = build_pyramid(left, right, config.d_max,
-                            levels=config.levels, base_block=config.block)
+    pyramid = list(build_pyramid(left, right, config.d_max,
+                                 levels=config.levels, base_block=config.block))
     trace = PipelineTrace(build_seconds=time.perf_counter() - t_start)
 
     disparity = cost = None
-    for level in reversed(pyramid):
+    while pyramid:
+        level = pyramid.pop()  # coarsest first; a matched level's images go with it
         # A new engine per level, so its count holds this level's entries only.
         engine = CostEngine(level.left, level.right, level.block, level.d_max,
                             sign=config.sign)
         seconds = {}
         if disparity is None:  # the coarsest level: a NaN prior trusts no pixel
-            d_hat = c_hat = np.broadcast_to(np.nan, level.shape)
+            disparity, cost = np.full(level.shape, np.nan), np.full(level.shape, np.nan)
         else:
             t0 = time.perf_counter()
-            d_hat, c_hat = upsample_prior(disparity, cost, level.shape)
+            disparity, cost = upsample_prior(disparity, cost, level.shape)
             seconds["upsample"] = time.perf_counter() - t0
-        del disparity, cost  # the prior carries what this level reads of them
 
         t0 = time.perf_counter()
-        above = c_hat > config.beta
-        del c_hat  # freed before the window calls, which need only the gate
-        disparity, cost, trusted, counts = _select_trusted(engine, d_hat, above)
-        del d_hat, above  # the band pass reads only the selected maps
+        # The prior's maps become the level's: selection writes the trusted
+        # pixels into them, the band pass the rest.
+        disparity, cost, trusted, counts = _select_trusted(engine, disparity, cost, config.beta)
         refine, seconds["refine"] = _band_pass(engine, disparity, cost, trusted, config.alpha)
         seconds["select"] = time.perf_counter() - t0 - seconds["refine"]
         selection_evals = engine.count - refine["refine_evals"]

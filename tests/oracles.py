@@ -246,14 +246,15 @@ def naive_metrics(disparity, gt_values, gt_invalid, scale=1.0, taus=(1.0, 2.0, 4
 def unbanded_selection(engine, d_hat, c_hat, beta):
     """Prior-guided selection with the full search in one request, not in bands.
 
-    The trusted pixels are selected by the package's own trusted selection;
-    every other pixel then takes the first maximum of its full cost vector,
-    all of them from one ``dsi_rows`` call.  Returns the maps and the
-    selection's counts, with ``selection_evals`` the entries the engine
-    computed here.
+    The trusted pixels are selected by the package's own trusted selection,
+    on copies of the prior, which it consumes; every other pixel then takes
+    the first maximum of its full cost vector, all of them from one
+    ``dsi_rows`` call.  Returns the maps and the selection's counts, with
+    ``selection_evals`` the entries the engine computed here.
     """
     before = engine.count
-    disparity, cost, trusted, counts = matcher._select_trusted(engine, d_hat, c_hat > beta)
+    disparity, cost, trusted, counts = matcher._select_trusted(engine, d_hat.copy(),
+                                                               c_hat.copy(), beta)
     fi, fj = np.nonzero(~trusted)
     vectors = engine.dsi_rows(fi, fj)
     best = np.argmax(vectors, axis=1)

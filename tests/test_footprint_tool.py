@@ -53,7 +53,7 @@ def test_footprint_runs_at_a_tiny_size(tmp_path):
 # is over twice block matching's is an open defect, kept visible by a
 # strict xfail with the ratio it measured, so the fix that mends it must
 # flip it.
-_OVER = {("88x128x12", "noise"): "2.81x: a whole-level dense band's store and its ring",
+_OVER = {("88x128x12", "noise"): "2.77x: a whole-level dense band's store and its ring",
          ("48x480x32", "layered"): "2.47x: one level, a store of 16-row bands, a third of it",
          ("48x480x32", "noise"): "2.51x: one level, a store of 16-row bands, a third of it",
          ("72x96x56", "layered"): "4.45x: one level, a store of 47-row bands, two thirds of it",

@@ -221,7 +221,8 @@ def test_refine_with_handed_vectors_is_bit_identical():
     """The band pass refines on selection's vectors: the maps of the stages run alone."""
     left, right, d_hat, c_hat = _fallback_prior()
     engine = CostEngine(left, right, block=5, d_max=10)
-    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat > 0.75)
+    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat.copy(),
+                                                              c_hat.copy(), 0.75)
     # Below every cost nothing is low, so this pass only selects.
     selected = disparity.copy(), cost.copy()
     matcher._band_pass(CostEngine(left, right, block=5, d_max=10), *selected, trusted, -2.0)
@@ -404,7 +405,7 @@ def test_band_handoffs_equal_stages(pattern, rows):
         patch.setattr(matcher, "_BAND_ENTRIES", 1)  # bands of _BAND_MIN_ROWS rows
         patch.setattr(matcher, "_BAND_MIN_ROWS", band)
         engine = CostEngine(left, right, block=5, d_max=12)
-        disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat > 0.9)
+        disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
         refine, _ = matcher._band_pass(engine, disparity, cost, trusted, 0.9)
     tops = range(0, trusted.shape[0], band)
     assert [not trusted[t:t + band].any() for t in tops] == [kind == "D" for kind in pattern]
@@ -425,7 +426,7 @@ def test_one_window_request_per_mixed_band(pattern, monkeypatch):
     monkeypatch.setattr(matcher, "_BAND_ENTRIES", 1)  # bands of _BAND_MIN_ROWS rows
     monkeypatch.setattr(matcher, "_BAND_MIN_ROWS", band)
     engine = CostEngine(left, right, block=5, d_max=12)
-    disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat > 0.9)
+    disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
     room = _room(trusted, cost, 0.9)  # before the pass overwrites the maps
     want = []
     for top in range(0, trusted.shape[0], band):
@@ -485,6 +486,44 @@ def test_each_engine_is_freed_before_its_median(monkeypatch):
     assert alive == [("engine", 0), ("median", 0)] * 3
 
 
+def test_level_holds_only_what_it_reads(monkeypatch):
+    """Selection writes into the upsampled prior, and a matched level's images are dropped."""
+    rng = np.random.default_rng(44)
+    left, right = shifted_pair(64, 80, 4, rng, cutoff=0.15)
+    coarse, priors, alive, selected = [], [], [], []
+    build, upsample = matcher.build_pyramid, matcher.upsample_prior
+    select = matcher._select_trusted
+
+    def built(*args, **kwargs):
+        pyramid = build(*args, **kwargs)
+        coarse.extend(weakref.ref(image) for level in pyramid[1:]
+                      for image in (level.left, level.right))
+        return pyramid
+
+    def upsampled(*args):
+        priors.append(upsample(*args))
+        return priors[-1]
+
+    def selecting(*args):
+        alive.append(sum(ref() is not None for ref in coarse))
+        result = select(*args)
+        selected.append(result[:2])
+        return result
+
+    monkeypatch.setattr(matcher, "build_pyramid", built)
+    monkeypatch.setattr(matcher, "upsample_prior", upsampled)
+    monkeypatch.setattr(matcher, "_select_trusted", selecting)
+    _, cost, _ = run_pipeline(left, right, MatchConfig(d_max=16, levels=2, block=5))
+    # Levels 2, 1 and 0 in turn: at each selection, the only coarser-level
+    # images alive are the level's own and those of levels still to match.
+    assert alive == [4, 2, 0]
+    assert len(priors) == 2
+    for (d_hat, c_hat), (disparity, level_cost) in zip(priors, selected[1:]):
+        assert np.shares_memory(disparity, d_hat) and np.shares_memory(level_cost, c_hat)
+    # Level 0's cost map is its prior's buffer, filled and refined in place.
+    assert np.shares_memory(cost, priors[-1][1])
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -507,8 +546,9 @@ def test_untrusted_pair_peak_stays_near_block_matching():
     # times.  With each engine freed before its median and coarse levels
     # owning their pixels, the level-0 band pass peaked at 1.60 times, and
     # at 1.54 with its planes written in place; at 1.19 with dense levels in
-    # short bands and refine's chunk counted in entries.
-    assert peak < 1.3 * bm_peak
+    # short bands and refine's chunk counted in entries; at 1.14 with each
+    # matched level's images dropped from the pyramid.
+    assert peak < 1.17 * bm_peak
 
 
 def test_layered_pair_peak_within_twice_block_matching():
@@ -522,8 +562,10 @@ def test_layered_pair_peak_within_twice_block_matching():
     assert trace[0][2].trust_fractions[-1] > 0.9
     # A dense ring of three bands' vectors at level 0 took 2.3 times the
     # baseline, and the trusted selection's window chunks, gathering up to
-    # all block rows of 5,461 pixels, 1.58 times.
-    assert peak < 1.3 * bm_peak
+    # all block rows of 5,461 pixels, 1.58 times; its two new maps, beside
+    # the prior and the coarser levels' images, 1.20 times.  Writing into
+    # the prior and dropping matched levels took it to 1.05.
+    assert peak < 1.12 * bm_peak
 
 
 def test_band_store_scales_with_vectors_held(monkeypatch):
@@ -537,7 +579,7 @@ def test_band_store_scales_with_vectors_held(monkeypatch):
     d_hat, c_hat = np.full((h, w), 6.0), np.ones((h, w))
     for i, j in zip(rng.integers(0, h - 6, 60), rng.integers(0, w - 6, 60)):
         c_hat[i:i + 6, j:j + 6] = 0.0  # 6x6 patches of untrusted pixels
-    disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat > 0.9)
+    disparity, cost, trusted, _ = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
     assert 0.03 < np.mean(~trusted) < 0.07
     # Untrusted pixels, and trusted ones within 3x3 of one that may be low.
     held = np.count_nonzero(binary_dilation(~trusted | (cost <= 0.9), _NEIGHBORS))
@@ -849,8 +891,8 @@ def test_trusted_pick_is_first_legal_maximum(monkeypatch, group):
         return np.round(window(rows, cols, z0, nz))
 
     monkeypatch.setattr(engine, "window", planted)
-    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat,
-                                                              np.ones((h, w), dtype=bool))
+    disparity, cost, trusted, stats = matcher._select_trusted(engine, d_hat.copy(),
+                                                              np.ones((h, w)), 0.9)
     assert trusted.all() and stats["trusted_window_max"] == 3
     ti, tj = np.nonzero(trusted)
     z0 = d_hat[ti, tj].astype(np.intp) - 1
@@ -875,7 +917,7 @@ def test_fallback_reasons_are_counted_apart():
     c_hat[0, 1] = 0.1
     c_hat[1, :4] = [0.9, 0.5, np.nan, -1.0]  # at most beta, or NaN
     d_hat[2, :5] = [-2.0, 6.0, 9.0, -1.0, 5.0]  # the first three leave [0, d_max]
-    _, _, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat > 0.9)
+    _, _, trusted, stats = matcher._select_trusted(engine, d_hat, c_hat, 0.9)
     assert stats["fallback_nan_prior"] == 3
     assert stats["fallback_low_prior"] == 4
     assert stats["fallback_out_of_range"] == 3
@@ -897,7 +939,7 @@ def test_select_without_prior_is_full_search():
     assert stats["full_search_pixels"] == 15 * 19
     assert stats["selection_evals"] == engine.count == 15 * 19 * 8
     with pytest.raises(ValueError):
-        matcher._select_trusted(engine, nan, np.zeros((15, 18), dtype=bool))
+        matcher._select_trusted(engine, nan, np.zeros((15, 18)), 0.9)
 
 
 def test_match_level_with_prior_composes_stages():
