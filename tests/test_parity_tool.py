@@ -26,7 +26,8 @@ def test_parity_runs_at_a_tiny_size(tmp_path):
                                                              ("48x64x8:5", "0")]
     fields = set(LevelTrace.__dataclass_fields__) - {"seconds"} | {"pixels", "trusted_fraction"}
     for row in lines:
-        for key in ("disparity_sha256", "cost_sha256"):
+        for key in ("disparity_sha256", "cost_sha256", "baseline_sha256"):
             assert len(row[key]) == 64 and int(row[key], 16) >= 0
         assert row["trace"] and all(set(level) == fields for level in row["trace"])
     assert len(lines[1]["trace"]) == 1 and lines[1]["trace"][0]["trusted"] == 0
+    assert lines[0]["baseline_sha256"] == lines[1]["baseline_sha256"]  # one scene

@@ -330,7 +330,11 @@ def test_window_rejects_reach_beyond_padding():
     for nz in (1, 3, 5):
         for z0 in (0, empty):
             assert engine.window(empty, empty, z0, nz).shape == (0, nz)
+            out = np.empty((0, nz))
+            assert engine.window(empty, empty, z0, nz, out=out) is out
     assert engine.dsi_rows(empty, empty).shape == (0, 5)
+    out = np.empty((0, 5))
+    assert engine.dsi_rows(empty, empty, out=out) is out
     assert engine.count == 0
 
 
