@@ -92,18 +92,29 @@ def _threads_arg(text: str) -> int:
     return _positive_int(text)
 
 
-def _add_io_args(parser: argparse.ArgumentParser) -> None:
+def _add_pair_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("left", help="left image (PGM/PPM)")
     parser.add_argument("right", help="right image (PGM/PPM)")
     parser.add_argument("--dmax", type=_positive_int, default=None,
                         help="maximum disparity in pixels")
     parser.add_argument("--calib", default=None,
                         help="calib.txt supplying ndisp (overrides --dmax)")
+
+
+def _add_block_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block", type=int, default=11,
                         help="odd matching block size (default 11)")
     parser.add_argument("--sign", choices=["middlebury", "paper"], default="middlebury",
                         help="column direction of the right-image search")
-    parser.add_argument("--out", default="out", help="output directory")
+
+
+def _add_pyramid_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--levels", type=_levels_arg, default=None,
+                        help="pyramid halvings K, or 'auto' (default)")
+    parser.add_argument("--alpha", type=float, default=0.9,
+                        help="confidence gate for re-selection and median repair")
+    parser.add_argument("--beta", type=float, default=0.9,
+                        help="trust gate for the upsampled prior")
 
 
 def _resolve_dmax(args) -> tuple[int, CalibInfo | None]:
@@ -126,20 +137,16 @@ def _match_config(args, d_max: int) -> MatchConfig:
                        alpha=args.alpha, beta=args.beta, sign=args.sign)
 
 
-def _check_calib_size(calib: CalibInfo, image: np.ndarray, calib_path: str) -> None:
-    """Raises ConfigError when the calib's width or height, if given, differs from the image's."""
-    height, width = image.shape
-    if calib.width not in (None, width) or calib.height not in (None, height):
+def _load_pair(left_path: str, right_path: str, calib: CalibInfo | None,
+               calib_path: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """Reads a pair; raises ConfigError when the calib's width or height, if given, differs."""
+    left, right = read_pnm(left_path), read_pnm(right_path)
+    height, width = left.shape
+    if calib is not None and (calib.width not in (None, width)
+                              or calib.height not in (None, height)):
         raise ConfigError(
             f"{calib_path} gives width {calib.width or '?'} and height {calib.height or '?'}, "
             f"but the images are {width}x{height} (width x height)")
-
-
-def _load_pair(left_path: str, right_path: str, calib: CalibInfo | None,
-               calib_path: str | None) -> tuple[np.ndarray, np.ndarray]:
-    left, right = read_pnm(left_path), read_pnm(right_path)
-    if calib is not None:
-        _check_calib_size(calib, left, calib_path)
     return left, right
 
 
@@ -168,15 +175,6 @@ def _environment() -> dict:
     }
 
 
-def _pair_inputs(args) -> dict:
-    """The absolute input paths of a run on one pair."""
-    return {
-        "left": os.path.abspath(args.left),
-        "right": os.path.abspath(args.right),
-        "calib": os.path.abspath(args.calib) if args.calib else None,
-    }
-
-
 def _write_manifest(command: str, out_dir: str, inputs: dict, config: dict, outputs: dict,
                     timings: dict) -> None:
     manifest = {
@@ -191,74 +189,62 @@ def _write_manifest(command: str, out_dir: str, inputs: dict, config: dict, outp
     _write_report(manifest, os.path.join(out_dir, "manifest"))
 
 
-def cmd_compute(args) -> int:
+def _run_pair(args, command: str, configure, match) -> int:
+    """Matches one pair once and writes its maps, trace and manifest.
+
+    ``configure(d_max)`` checks the run's parameters before any file is
+    read.  ``match(left, right, params)`` returns the disparity and cost
+    maps, the trace, the manifest's config and the summary line's head.
+    """
     t_total = time.perf_counter()
     d_max, calib = _resolve_dmax(args)
-    config = _match_config(args, d_max)
+    params = configure(d_max)
 
     t0 = time.perf_counter()
     left, right = _load_pair(args.left, args.right, calib, args.calib)
-    read_seconds = time.perf_counter() - t0
-
-    disparity, cost, trace = run_pipeline(left, right, config)
-
+    t1 = time.perf_counter()
+    disparity, cost, trace, config, summary = match(left, right, params)
+    t2 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
     paths = _write_maps(args.out, disparity, cost, d_max)
-    write_seconds = time.perf_counter() - t0
+    t3 = time.perf_counter()
 
     trace_stem = os.path.join(args.out, "trace")
-    _write_report(trace.to_dict(), trace_stem)
-
+    _write_report(trace, trace_stem)
     _write_manifest(
-        "compute", args.out, _pair_inputs(args),
-        config={**asdict(config), "levels": len(trace.levels) - 1},
+        command, args.out,
+        {"left": os.path.abspath(args.left), "right": os.path.abspath(args.right),
+         "calib": os.path.abspath(args.calib) if args.calib else None},
+        config=config,
         outputs={**paths, "trace_json": trace_stem + ".json"},
-        timings={
-            "read_seconds": read_seconds,
-            "match_seconds": trace.total_seconds,
-            "write_seconds": write_seconds,
-            "total_seconds": time.perf_counter() - t_total,
-        },
+        timings={"read_seconds": t1 - t0, "match_seconds": t2 - t1, "write_seconds": t3 - t2,
+                 "total_seconds": time.perf_counter() - t_total},
     )
-    print(
-        f"computed {disparity.shape[1]}x{disparity.shape[0]} disparity map: "
-        f"{trace.total_evals} cost evaluations over {len(trace.levels)} levels "
-        f"-> {paths['disparity_pfm']}"
-    )
+    print(f"{summary} -> {paths['disparity_pfm']}")
     return EXIT_OK
+
+
+def cmd_compute(args) -> int:
+    def match(left, right, config):
+        disparity, cost, trace = run_pipeline(left, right, config)
+        summary = (f"computed {disparity.shape[1]}x{disparity.shape[0]} disparity map: "
+                   f"{trace.total_evals} cost evaluations over {len(trace.levels)} levels")
+        return (disparity, cost, trace.to_dict(),
+                {**asdict(config), "levels": len(trace.levels) - 1}, summary)
+
+    return _run_pair(args, "compute", functools.partial(_match_config, args), match)
 
 
 def cmd_baseline(args) -> int:
-    t_total = time.perf_counter()
-    d_max, calib = _resolve_dmax(args)
-    left, right = _load_pair(args.left, args.right, calib, args.calib)
+    def match(left, right, d_max):
+        t0 = time.perf_counter()
+        disparity, cost, evals = baseline_bm(left, right, d_max, args.block, sign=args.sign)
+        trace = {"evals": evals, "pixels": disparity.size, "d_max": d_max,
+                 "block": args.block, "match_seconds": time.perf_counter() - t0}
+        return (disparity, cost, trace, {"d_max": d_max, "block": args.block, "sign": args.sign},
+                f"baseline full search: {evals} cost evaluations")
 
-    t0 = time.perf_counter()
-    disparity, cost, evals = baseline_bm(left, right, d_max, args.block, sign=args.sign)
-    match_seconds = time.perf_counter() - t0
-
-    os.makedirs(args.out, exist_ok=True)
-    paths = _write_maps(args.out, disparity, cost, d_max)
-
-    height, width = disparity.shape
-    trace = {
-        "evals": evals,
-        "pixels": height * width,
-        "d_max": d_max,
-        "block": args.block,
-        "match_seconds": match_seconds,
-    }
-    _write_report(trace, os.path.join(args.out, "trace"))
-
-    _write_manifest(
-        "baseline", args.out, _pair_inputs(args),
-        config={"d_max": d_max, "block": args.block, "sign": args.sign},
-        outputs={**paths, "trace_json": os.path.join(args.out, "trace.json")},
-        timings={"total_seconds": time.perf_counter() - t_total},
-    )
-    print(f"baseline full search: {evals} cost evaluations -> {paths['disparity_pfm']}")
-    return EXIT_OK
+    return _run_pair(args, "baseline", lambda d_max: d_max, match)
 
 
 def cmd_eval(args) -> int:
@@ -353,11 +339,8 @@ def cmd_bench(args) -> int:
         rows = list(pool.map(lambda item: _bench_scene(*item, args), runnable.items()))
     rows.sort(key=lambda row: row["scene"])
 
-    numeric = ["bad_2_ours", "bad_2_baseline", "avg_err_ours", "avg_err_baseline",
-               "evals_ours", "evals_baseline", "eval_ratio"]
-    average = {"scene": "average"}
-    for key in numeric:
-        average[key] = float(np.mean([row[key] for row in rows]))
+    average = {"scene": "average"} | {key: float(np.mean([row[key] for row in rows]))
+                                      for key in rows[0] if key != "scene"}
 
     table = _bench_table(rows, average)
     os.makedirs(args.out, exist_ok=True)
@@ -418,41 +401,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="coarse-to-fine disparity map")
-    _add_io_args(compute)
-    compute.add_argument("--levels", type=_levels_arg, default=None,
-                         help="pyramid halvings K, or 'auto' (default)")
-    compute.add_argument("--alpha", type=float, default=0.9,
-                         help="confidence gate for re-selection and median repair")
-    compute.add_argument("--beta", type=float, default=0.9,
-                         help="trust gate for the upsampled prior")
+    _add_pair_args(compute)
+    _add_block_args(compute)
+    _add_pyramid_args(compute)
     compute.set_defaults(func=cmd_compute)
 
     baseline = sub.add_parser("baseline", help="single-level full-search disparity map")
-    _add_io_args(baseline)
+    _add_pair_args(baseline)
+    _add_block_args(baseline)
     baseline.set_defaults(func=cmd_baseline)
 
     evalp = sub.add_parser("eval", help="score a disparity PFM against reference")
     evalp.add_argument("disparity", help="disparity map (PFM)")
     evalp.add_argument("gt", help="reference disparities (PFM)")
-    evalp.add_argument("--scale", type=float, default=1.0,
-                       help="multiply output disparities before comparison")
     evalp.add_argument("--trace", default=None,
                        help="trace.json from the producing run, embedded in the report")
-    evalp.add_argument("--out", default="out", help="output directory")
     evalp.set_defaults(func=cmd_eval)
 
     bench = sub.add_parser("bench", help="run compute+baseline+eval over a dataset")
     bench.add_argument("dataset", help="directory of scene folders (im0/im1/calib/gt)")
-    bench.add_argument("--levels", type=_levels_arg, default=None)
-    bench.add_argument("--block", type=int, default=11)
-    bench.add_argument("--alpha", type=float, default=0.9)
-    bench.add_argument("--beta", type=float, default=0.9)
-    bench.add_argument("--sign", choices=["middlebury", "paper"], default="middlebury")
-    bench.add_argument("--scale", type=float, default=1.0)
+    _add_block_args(bench)
+    _add_pyramid_args(bench)
     bench.add_argument("--threads", type=_threads_arg, default=1,
                        help="scenes matched at once, or 'auto' (results are identical)")
-    bench.add_argument("--out", default="out", help="output directory")
     bench.set_defaults(func=cmd_bench)
+
+    for command in (evalp, bench):
+        command.add_argument("--scale", type=float, default=1.0,
+                             help="multiply output disparities before comparison")
+    for command in sub.choices.values():
+        command.add_argument("--out", default="out", help="output directory")
     return parser
 
 

@@ -468,6 +468,8 @@ def selective_median(disparity: np.ndarray, cost: np.ndarray,
     """
     if disparity.shape != cost.shape:
         raise ValueError("disparity and cost maps differ in shape")
+    if disparity.size == 0:
+        return disparity.copy()
     low = cost <= alpha
 
     # Pad costs below any legal alpha so clipped-away neighbors never qualify.

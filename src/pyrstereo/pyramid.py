@@ -19,7 +19,6 @@ from .zncc import check_pair, is_integer
 __all__ = [
     "BINOMIAL_KERNEL",
     "PyramidLevel",
-    "binomial_smooth",
     "gaussian_downsample",
     "level_d_max",
     "level_block",
@@ -45,41 +44,23 @@ class PyramidLevel:
         return self.left.shape
 
 
-def binomial_smooth(img: np.ndarray) -> np.ndarray:
-    """Separable (1,4,6,4,1)/16 smoothing with replicate borders.
-
-    Along axis 0, then axis 1, each sample becomes x*K[2], plus the sum of
-    its neighbours two apart times K[0], plus the sum of its neighbours one
-    apart times K[1], added in that order (the order ``tests/oracles.py``
-    pins).  The image is extended by two replicated samples on every side
-    once: smoothing the replicated columns along axis 0 gives the
-    replicated columns of the smoothed image, which axis 1 then reads.
-    """
-    return _smoothed_samples(np.asarray(img, dtype=np.float64), 1)
-
-
 def gaussian_downsample(img: np.ndarray) -> np.ndarray:
     """Smooth and decimate an image to half size.
 
     Output dimensions are ceil(input/2): decimation keeps the even source
     coordinates so the last row/column of odd inputs is never dropped.
-    Only the kept samples are smoothed, each by the operations that
-    :func:`binomial_smooth` applies to it, so the result is
-    ``binomial_smooth(img)[::2, ::2]`` bit for bit, as a contiguous array
-    of its own.  Requires both dimensions to be at least 2.
+    The image is extended by two replicated samples on every side once.
+    Axis 0 is smoothed at the kept rows only, over all columns and the
+    replicated ones; axis 1 then at the kept columns of those rows.  Each
+    sample becomes x*K[2], plus the sum of its neighbours two apart times
+    K[0], plus the sum of its neighbours one apart times K[1], added in
+    that order (the order ``tests/oracles.py`` pins), so the result is the
+    full smoothing decimated, bit for bit, as a contiguous array of its
+    own.  Requires both dimensions to be at least 2.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
         raise ValueError(f"cannot downsample image of shape {img.shape}")
-    return _smoothed_samples(img, 2)
-
-
-def _smoothed_samples(img: np.ndarray, step: int) -> np.ndarray:
-    """The binomial smoothing of ``img`` at every step-th row and column from 0.
-
-    Axis 0 is smoothed at the kept rows only, over all columns and the
-    replicated ones; axis 1 then at the kept columns of those rows.
-    """
     h, w = img.shape
     k0, k1, k2 = BINOMIAL_KERNEL[:3]
     ext = np.empty((h + 4, w + 4))
@@ -88,20 +69,20 @@ def _smoothed_samples(img: np.ndarray, step: int) -> np.ndarray:
     ext[2:h + 2, w + 2:] = img[:, -1:]
     ext[:2] = ext[2]
     ext[h + 2:] = ext[h + 1]
-    rows = ext[2:h + 2:step] * k2
-    pair = ext[:h:step] + ext[4:h + 4:step]
+    rows = ext[2:h + 2:2] * k2
+    pair = ext[:h:2] + ext[4:h + 4:2]
     pair *= k0
     rows += pair
-    np.add(ext[1:h + 1:step], ext[3:h + 3:step], out=pair)
+    np.add(ext[1:h + 1:2], ext[3:h + 3:2], out=pair)
     pair *= k1
     rows += pair
     del ext
-    out = rows[:, 2:w + 2:step] * k2
+    out = rows[:, 2:w + 2:2] * k2
     pair = pair[:, :out.shape[1]]
-    np.add(rows[:, :w:step], rows[:, 4:w + 4:step], out=pair)
+    np.add(rows[:, :w:2], rows[:, 4:w + 4:2], out=pair)
     pair *= k0
     out += pair
-    np.add(rows[:, 1:w + 1:step], rows[:, 3:w + 3:step], out=pair)
+    np.add(rows[:, 1:w + 1:2], rows[:, 3:w + 3:2], out=pair)
     pair *= k1
     out += pair
     return out

@@ -1,5 +1,6 @@
 """Command-line frontend tests (driven through cli.main)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -227,7 +228,10 @@ def test_serialised_key_sets(pair, tmp_path):
     base = tmp_path / "base"
     assert main(["baseline", str(left), str(right), "--dmax", "8", "--block", "5",
                  "--out", str(base)]) == 0
-    assert set(json.loads((base / "manifest.json").read_text())["environment"]) == environment
+    base_manifest = json.loads((base / "manifest.json").read_text())
+    assert set(base_manifest["environment"]) == environment
+    assert set(base_manifest["timings"]) == set(manifest["timings"]) == {
+        "read_seconds", "match_seconds", "write_seconds", "total_seconds"}
 
     metrics = {"bad_1", "bad_2", "bad_4", "avg_abs_err", "evaluated", "gt_invalid",
                "output_invalid"}
@@ -440,3 +444,19 @@ def test_parser_is_built_once():
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                    check=True, timeout=60)
+
+
+def test_shared_flags_agree():
+    # A flag that several subcommands take means the same thing in each.
+    commands = next(action.choices for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    takers = {}
+    for command in commands.values():
+        for action in command._actions:
+            for flag in action.option_strings:
+                takers.setdefault(flag, []).append(action)
+    shared = {flag: actions for flag, actions in takers.items() if len(actions) > 1}
+    assert {"--block", "--sign", "--out", "--levels", "--alpha", "--beta"} <= set(shared)
+    for flag, actions in shared.items():
+        described = {(a.default, a.type, tuple(a.choices or ()), a.help) for a in actions}
+        assert len(described) == 1, (flag, described)

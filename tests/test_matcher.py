@@ -969,6 +969,13 @@ def test_selective_median_noop_when_confident():
     np.testing.assert_array_equal(selective_median(disparity, cost, 0.9), disparity)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+def test_selective_median_empty_map(shape):
+    disparity, cost = np.empty(shape), np.empty(shape)
+    out = selective_median(disparity, cost, 0.9)
+    assert out.shape == shape and out is not disparity
+
+
 def test_selective_median_unanimous_window():
     disparity = np.full((9, 9), 7.0)
     disparity[4, 4] = 2.0
