@@ -5,19 +5,24 @@
 Run from the repository root; the package is imported from ``src/`` of
 this checkout and the scenes from ``stereobench/scenes.py``.  Each run is
 one layered scene (height x width x d_max, and its seed) matched at one
-pyramid depth.  Every run prints one JSON line: the SHA-256 of the
-disparity and cost maps' bytes, each level's trace fields without
-``seconds``, and the SHA-256 of ``baseline_bm``'s disparity and cost
-bytes on the same scene, the only check here on the costs kernel's
-single-plane path, which ``run_pipeline`` never takes.  Two checkouts
-give the same outputs and counts exactly when their lines are identical:
+pyramid depth.  A run ending in ``:paper`` mirrors both images left to
+right, so that a left pixel's match sits at column j + d of the right
+image, and matches them with ``sign="paper"``: the only check here on
+the paper sign's branches of the costs and window kernels.  Every run
+prints one JSON line: the SHA-256 of the disparity and cost maps' bytes,
+each level's trace fields without ``seconds``, and the SHA-256 of
+``baseline_bm``'s disparity and cost bytes on the same scene, the only
+check here on the costs kernel's single-plane path, which
+``run_pipeline`` never takes.  Two checkouts give the same outputs and
+counts exactly when their lines are identical:
 
     python3 benchmarks/parity.py > a.jsonl   # in each checkout
     diff a.jsonl b.jsonl
 
 The default runs are seeds 103 and 104 at 375x450, d_max 64 (the layered
 workloads' scenes) and seeds 5 and 6 at 88x128, d_max 12 (the CLI
-workload's), each at levels auto, 0 and 1.
+workload's), and seeds 103 and 5 mirrored at the paper sign, each at
+levels auto, 0 and 1.
 """
 
 from __future__ import annotations
@@ -34,20 +39,26 @@ sys.path.insert(0, str(ROOT / "stereobench"))
 
 import scenes  # noqa: E402
 from pyrstereo import MatchConfig, baseline_bm, run_pipeline  # noqa: E402
+from pyrstereo.zncc import SIGN_PAPER_PLUS  # noqa: E402
 
-DEFAULT_RUNS = ("375x450x64:103", "375x450x64:104", "88x128x12:5", "88x128x12:6")
+DEFAULT_RUNS = ("375x450x64:103", "375x450x64:104", "88x128x12:5", "88x128x12:6",
+                "375x450x64:103:paper", "88x128x12:5:paper")
 DEFAULT_LEVELS = ("auto", "0", "1")
 
 
 def fingerprint(run: str, levels: str) -> dict:
     """The hashed maps and the per-level counts of one run, and the hashed baseline maps."""
-    size, seed = run.split(":")
+    size, seed, *sign = run.split(":")
     height, width, d_max = (int(v) for v in size.split("x"))
     scene = scenes.make_scene(scenes.scene_seeds(int(seed), 1)[0], height, width, d_max)
-    config = MatchConfig(d_max=d_max, levels=None if levels == "auto" else int(levels))
-    disparity, cost, trace = run_pipeline(scene.left, scene.right, config)
+    config = MatchConfig(d_max=d_max, levels=None if levels == "auto" else int(levels),
+                         sign=sign[0] if sign else MatchConfig.sign)
+    left, right = scene.left, scene.right
+    if config.sign == SIGN_PAPER_PLUS:  # mirrored, a left pixel's match is at j + d
+        left, right = left[:, ::-1], right[:, ::-1]
+    disparity, cost, trace = run_pipeline(left, right, config)
     baseline = hashlib.sha256()
-    for a in baseline_bm(scene.left, scene.right, d_max, config.block)[:2]:
+    for a in baseline_bm(left, right, d_max, config.block, sign=config.sign)[:2]:
         baseline.update(a.tobytes())
     return {"run": run, "levels": levels,
             "disparity_sha256": hashlib.sha256(disparity.tobytes()).hexdigest(),
@@ -60,7 +71,7 @@ def fingerprint(run: str, levels: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--run", action="append", default=None,
-                        help="HxWxD_MAX:SEED of a scene (repeatable; default: "
+                        help="HxWxD_MAX:SEED[:paper] of a scene (repeatable; default: "
                              + ", ".join(DEFAULT_RUNS) + ")")
     parser.add_argument("--levels", action="append", default=None,
                         help="pyramid halvings, or auto (repeatable; default: "

@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .matcher import match_coarsest
-from .zncc import CostEngine
+from .zncc import SIGN_MIDDLEBURY, CostEngine
 
 __all__ = ["baseline_bm"]
 
 
 def baseline_bm(left: np.ndarray, right: np.ndarray, d_max: int, block: int,
-                sign: str = "middlebury") -> tuple[np.ndarray, np.ndarray, int]:
+                sign: str = SIGN_MIDDLEBURY) -> tuple[np.ndarray, np.ndarray, int]:
     """Full-search disparity and cost maps plus the evaluation count.
 
     Per pixel, every disparity in [0, d_max] is scored with the engine's

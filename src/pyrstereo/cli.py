@@ -27,6 +27,7 @@ from .baseline import baseline_bm
 from .evaluation import evaluate
 from .formats import CalibInfo, DecodeError, read_calib, read_pfm, read_pnm, write_pfm, write_pgm
 from .matcher import ConfigError, MatchConfig, run_pipeline
+from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,18 +103,19 @@ def _add_pair_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_block_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--block", type=int, default=11,
-                        help="odd matching block size (default 11)")
-    parser.add_argument("--sign", choices=["middlebury", "paper"], default="middlebury",
+    parser.add_argument("--block", type=int, default=MatchConfig.block,
+                        help="odd matching block size (default %(default)s)")
+    parser.add_argument("--sign", choices=[SIGN_MIDDLEBURY, SIGN_PAPER_PLUS],
+                        default=MatchConfig.sign,
                         help="column direction of the right-image search")
 
 
 def _add_pyramid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--levels", type=_levels_arg, default=None,
+    parser.add_argument("--levels", type=_levels_arg, default=MatchConfig.levels,
                         help="pyramid halvings K, or 'auto' (default)")
-    parser.add_argument("--alpha", type=float, default=0.9,
+    parser.add_argument("--alpha", type=float, default=MatchConfig.alpha,
                         help="confidence gate for re-selection and median repair")
-    parser.add_argument("--beta", type=float, default=0.9,
+    parser.add_argument("--beta", type=float, default=MatchConfig.beta,
                         help="trust gate for the upsampled prior")
 
 
@@ -361,8 +363,8 @@ def cmd_bench(args) -> int:
     total = time.perf_counter() - t_total
     _write_manifest(
         "bench", args.out, {"dataset": os.path.abspath(args.dataset), "scenes": sorted(runnable)},
-        config={key: getattr(args, key)
-                for key in ("levels", "block", "alpha", "beta", "sign", "scale", "threads")},
+        config={key: value for key, value in vars(args).items()
+                if key not in ("command", "func", "dataset", "out")},
         outputs=paths,
         timings={"total_seconds": total},
     )

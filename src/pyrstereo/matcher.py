@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .pyramid import build_pyramid
-from .zncc import SIGN_MIDDLEBURY, SIGN_PAPER_PLUS, CostEngine, is_integer, level_budget
+from .zncc import SIGN_MIDDLEBURY, ConfigError, CostEngine, check_int, check_sign, level_budget
 
 __all__ = [
     "ConfigError",
@@ -73,10 +73,6 @@ _BAND_MIN_ROWS = 16
 _TRUSTED_GROUP = 1 << 14
 
 
-class ConfigError(ValueError):
-    """A matching parameter is outside its legal range."""
-
-
 @dataclass(frozen=True)
 class MatchConfig:
     """Parameters of one matching run.
@@ -95,22 +91,15 @@ class MatchConfig:
     sign: str = SIGN_MIDDLEBURY
 
     def __post_init__(self) -> None:
-        for name in ("d_max", "levels", "block"):
-            value = getattr(self, name)
-            if value is not None and not is_integer(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.d_max < 1:
-            raise ConfigError(f"d_max must be >= 1, got {self.d_max}")
-        if self.levels is not None and self.levels < 0:
-            raise ConfigError(f"levels must be >= 0, got {self.levels}")
-        if self.block < 3 or self.block % 2 == 0:
-            raise ConfigError(f"block must be odd and >= 3, got {self.block}")
+        check_int("d_max", self.d_max, 1)
+        if self.levels is not None:
+            check_int("levels", self.levels, 0)
+        check_int("block", self.block, 3, odd=True)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.sign not in (SIGN_MIDDLEBURY, SIGN_PAPER_PLUS):
-            raise ConfigError(f"unknown sign convention {self.sign!r}")
+        check_sign(self.sign)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zncc import check_pair, is_integer
+from .zncc import ConfigError, check_int, check_pair
 
 __all__ = [
     "BINOMIAL_KERNEL",
@@ -132,31 +132,25 @@ def build_pyramid(left: np.ndarray, right: np.ndarray, d_max: int,
     every downsampled level.
     """
     left, right = check_pair(left, right)
-    for name, value in (("d_max", d_max), ("levels", levels), ("base_block", base_block)):
-        if value is not None and not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if d_max < 1:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
-    if base_block < 3 or base_block % 2 == 0:
-        raise ValueError(f"base_block must be odd and >= 3, got {base_block}")
+    check_int("d_max", d_max, 1)
+    check_int("base_block", base_block, 3, odd=True)
 
     height, width = left.shape
     if levels is None:
         levels = auto_levels(width, height, d_max, base_block)
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
+    check_int("levels", levels, 0)
 
     if levels > 0:
         h, w = height, width
         for _ in range(levels):
             h, w = (h + 1) // 2, (w + 1) // 2
         if min(h, w) < 2 * level_block(base_block, levels):
-            raise ValueError(
+            raise ConfigError(
                 f"{levels} levels leave a {h}x{w} coarsest image, smaller than "
                 f"twice its {level_block(base_block, levels)}-pixel block"
             )
         if d_max >> levels < 2:
-            raise ValueError(
+            raise ConfigError(
                 f"{levels} levels shrink the disparity range below 2 (d_max={d_max})"
             )
 

@@ -92,9 +92,26 @@ _REACH = 2
 _PASS_ENTRIES = 65536
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer; a bool is not, though Python counts it as one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+class ConfigError(ValueError):
+    """A matching parameter is outside its legal range."""
+
+
+def check_int(name: str, value, least: int, odd: bool = False) -> None:
+    """Raises ConfigError unless ``value`` is an integer >= ``least``, and odd if ``odd``.
+
+    A bool is not an integer here, though Python counts it as one.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least or odd and value % 2 == 0:
+        rule = f">= {least} and odd" if odd else f">= {least}"
+        raise ConfigError(f"{name} must be an integer {rule}, got {value!r}")
+
+
+def check_sign(sign) -> None:
+    """Raises ConfigError unless ``sign`` is one of the two sign conventions."""
+    if sign not in (SIGN_MIDDLEBURY, SIGN_PAPER_PLUS):
+        raise ConfigError(f"unknown sign convention {sign!r}")
 
 
 def level_budget(cap: int, pixels: int, share: float) -> int:
@@ -209,12 +226,9 @@ class CostEngine:
     def __init__(self, left: np.ndarray, right: np.ndarray, block: int, d_max: int,
                  sign: str = SIGN_MIDDLEBURY) -> None:
         left, right = check_pair(left, right)
-        if not is_integer(block) or block < 3 or block % 2 == 0:
-            raise ValueError(f"block must be an odd integer >= 3, got {block!r}")
-        if not is_integer(d_max) or d_max < 0:
-            raise ValueError(f"d_max must be an integer >= 0, got {d_max!r}")
-        if sign not in (SIGN_MIDDLEBURY, SIGN_PAPER_PLUS):
-            raise ValueError(f"unknown sign convention {sign!r}")
+        check_int("block", block, 3, odd=True)
+        check_int("d_max", d_max, 0)
+        check_sign(sign)
         # ZNCC ignores a shared offset; without it, bright images lose the
         # deviations to cancellation in the sums of squares and products.
         offset = (left.mean() + right.mean()) / 2

@@ -1,6 +1,7 @@
 """Command-line frontend tests (driven through cli.main)."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from oracles import loop_full_search
 from pyrstereo import (
     CostEngine,
+    MatchConfig,
     match_coarsest,
     read_pfm,
     refine_level,
@@ -460,3 +462,7 @@ def test_shared_flags_agree():
     for flag, actions in shared.items():
         described = {(a.default, a.type, tuple(a.choices or ()), a.help) for a in actions}
         assert len(described) == 1, (flag, described)
+    # The matching flags default to MatchConfig's own defaults.
+    for field in dataclasses.fields(MatchConfig):
+        if f"--{field.name}" in shared:
+            assert shared[f"--{field.name}"][0].default == field.default, field.name

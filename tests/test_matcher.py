@@ -61,6 +61,36 @@ def test_config_validation(kwargs):
         MatchConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("d_max", 8.5), ("d_max", True), ("d_max", 0),
+    ("block", 4), ("block", 1), ("block", 5.0),
+    ("levels", -1), ("levels", 1.5), ("levels", False),
+    ("sign", "up"),
+])
+def test_each_parameter_has_one_rule(name, bad):
+    # Every entry point that takes a parameter rejects a bad value with one
+    # ConfigError message; only the pyramid calls its block base_block.
+    img = np.zeros((64, 64))
+    entry_points = [
+        (MatchConfig, {"d_max": 8, "levels": 1, "block": 3, "sign": "middlebury"}),
+        (lambda **kw: build_pyramid(img, img, **kw), {"d_max": 8, "levels": 1, "base_block": 3}),
+        (lambda **kw: CostEngine(img, img, **kw), {"block": 3, "d_max": 8, "sign": "middlebury"}),
+        (lambda **kw: baseline_bm(img, img, **kw), {"d_max": 8, "block": 3, "sign": "middlebury"}),
+    ]
+    if (name, bad) == ("d_max", 0):  # the engine, and the baseline on it, search [0, 0]
+        entry_points = entry_points[:2]
+    messages = set()
+    for call, good in entry_points:
+        key = "base_block" if name == "block" and "base_block" in good else name
+        if key in good:
+            with pytest.raises(ConfigError) as info:
+                call(**{**good, key: bad})
+            messages.add(str(info.value).replace(key, name, 1))
+    assert len(messages) == 1, messages
+    if name != "sign":
+        assert f"{name} must be an integer" in messages.pop()
+
+
 def test_match_coarsest_identical_pair():
     rng = np.random.default_rng(0)
     img = rng.random((12, 16))
